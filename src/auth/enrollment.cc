@@ -1,142 +1,23 @@
 #include "auth/enrollment.hh"
 
 #include <cstdint>
-#include <cstring>
 #include <fstream>
 #include <vector>
 
+#include "store/codec.hh"
 #include "util/logging.hh"
 
 namespace divot {
 
 namespace {
 
-constexpr uint32_t storeMagic = 0x44495654;  // "DIVT"
-constexpr uint32_t storeVersion = 2;         // dual-bank image
-constexpr uint32_t legacyVersion = 1;        // single-copy (read-only)
-constexpr std::size_t bankHeaderSize = 24;   // magic/ver + len + crc
+using store::fnv1a;
+using store::kBankHeaderSize;
+using store::putU64;
 
-/** FNV-1a over a byte range — cheap integrity check for the EPROM. */
-uint64_t
-fnv1a(const std::vector<char> &bytes)
-{
-    uint64_t h = 0xcbf29ce484222325ULL;
-    for (char c : bytes) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-
-void
-putU64(std::vector<char> &out, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void
-putF64(std::vector<char> &out, double v)
-{
-    uint64_t bits;
-    std::memcpy(&bits, &v, sizeof bits);
-    putU64(out, bits);
-}
-
-void
-putString(std::vector<char> &out, const std::string &s)
-{
-    putU64(out, s.size());
-    out.insert(out.end(), s.begin(), s.end());
-}
-
-void
-putWaveform(std::vector<char> &out, const Waveform &w)
-{
-    putF64(out, w.dt());
-    putF64(out, w.startTime());
-    putU64(out, w.size());
-    for (std::size_t i = 0; i < w.size(); ++i)
-        putF64(out, w[i]);
-}
-
-class Reader
-{
-  public:
-    Reader(const std::vector<char> &bytes) : bytes_(bytes) {}
-
-    bool
-    u64(uint64_t &v)
-    {
-        if (pos_ + 8 > bytes_.size())
-            return false;
-        v = 0;
-        for (int i = 0; i < 8; ++i) {
-            v |= static_cast<uint64_t>(
-                     static_cast<unsigned char>(bytes_[pos_ + i]))
-                 << (8 * i);
-        }
-        pos_ += 8;
-        return true;
-    }
-
-    bool
-    f64(double &v)
-    {
-        uint64_t bits;
-        if (!u64(bits))
-            return false;
-        std::memcpy(&v, &bits, sizeof v);
-        return true;
-    }
-
-    bool
-    str(std::string &s)
-    {
-        uint64_t len;
-        if (!u64(len) || pos_ + len > bytes_.size())
-            return false;
-        s.assign(bytes_.begin() + static_cast<long>(pos_),
-                 bytes_.begin() + static_cast<long>(pos_ + len));
-        pos_ += len;
-        return true;
-    }
-
-    bool
-    waveform(Waveform &w)
-    {
-        double dt, t0;
-        uint64_t n;
-        if (!f64(dt) || !f64(t0) || !u64(n))
-            return false;
-        if (dt <= 0.0 || n > (1ull << 32))
-            return false;
-        std::vector<double> samples(n);
-        for (auto &x : samples) {
-            if (!f64(x))
-                return false;
-        }
-        w = Waveform(dt, std::move(samples), t0);
-        return true;
-    }
-
-    bool
-    raw(std::vector<char> &out, uint64_t len)
-    {
-        if (pos_ + len > bytes_.size())
-            return false;
-        out.assign(bytes_.begin() + static_cast<long>(pos_),
-                   bytes_.begin() + static_cast<long>(pos_ + len));
-        pos_ += len;
-        return true;
-    }
-
-    bool done() const { return pos_ == bytes_.size(); }
-
-  private:
-    const std::vector<char> &bytes_;
-    std::size_t pos_ = 0;
-};
+/** Header word of a v2 bank: version in the high half, magic low. */
+constexpr uint64_t kMagicVer =
+    (static_cast<uint64_t>(store::kLegacyV2) << 32) | store::kStoreMagic;
 
 /**
  * Serialize the record set as a bank payload: record count, then per
@@ -151,153 +32,15 @@ buildPayload(const std::map<std::string, Fingerprint> &store)
     putU64(payload, store.size());
     for (const auto &[channel, fp] : store) {
         std::vector<char> body;
-        putString(body, channel);
-        putString(body, fp.label());
-        putWaveform(body, fp.raw());
-        putWaveform(body, fp.residual());
+        store::putString(body, channel);
+        store::putString(body, fp.label());
+        store::putWaveform(body, fp.raw());
+        store::putWaveform(body, fp.residual());
         putU64(payload, body.size());
         payload.insert(payload.end(), body.begin(), body.end());
         putU64(payload, fnv1a(body));
     }
     return payload;
-}
-
-/** Parse a bank payload; false leaves `out` unspecified. */
-bool
-parsePayload(const std::vector<char> &payload,
-             std::map<std::string, Fingerprint> &out)
-{
-    Reader pr(payload);
-    uint64_t count;
-    if (!pr.u64(count))
-        return false;
-    std::map<std::string, Fingerprint> loaded;
-    for (uint64_t i = 0; i < count; ++i) {
-        uint64_t body_len, crc;
-        std::vector<char> body;
-        if (!pr.u64(body_len) || !pr.raw(body, body_len) ||
-            !pr.u64(crc) || fnv1a(body) != crc) {
-            return false;
-        }
-        Reader br(body);
-        std::string channel, label;
-        Waveform raw, residual;
-        if (!br.str(channel) || !br.str(label) || !br.waveform(raw) ||
-            !br.waveform(residual) || !br.done()) {
-            return false;
-        }
-        loaded[channel] = Fingerprint::fromParts(
-            std::move(raw), std::move(residual), std::move(label));
-    }
-    if (!pr.done())
-        return false;
-    out = std::move(loaded);
-    return true;
-}
-
-/**
- * Extract and validate bank A: `[magicver][len][crc][payload...]`
- * framed from the front of the image.
- */
-bool
-readBankA(const std::vector<char> &bytes,
-          std::map<std::string, Fingerprint> &out)
-{
-    if (bytes.size() < bankHeaderSize)
-        return false;
-    std::vector<char> header(bytes.begin(),
-                             bytes.begin() + bankHeaderSize);
-    Reader hr(header);
-    uint64_t magic_ver, len, crc;
-    if (!hr.u64(magic_ver) || !hr.u64(len) || !hr.u64(crc))
-        return false;
-    if ((magic_ver & 0xffffffffu) != storeMagic ||
-        (magic_ver >> 32) != storeVersion) {
-        return false;
-    }
-    if (len > bytes.size() - bankHeaderSize)
-        return false;
-    std::vector<char> payload(
-        bytes.begin() + bankHeaderSize,
-        bytes.begin() + static_cast<long>(bankHeaderSize + len));
-    if (fnv1a(payload) != crc)
-        return false;
-    return parsePayload(payload, out);
-}
-
-/**
- * Extract and validate bank B: `[...payload][crc][len][magicver]`
- * framed from the END of the image — its trailer fields mirror bank
- * A's header in reverse, so the two banks never share bytes and any
- * single corrupted byte damages exactly one of them.
- */
-bool
-readBankB(const std::vector<char> &bytes,
-          std::map<std::string, Fingerprint> &out)
-{
-    if (bytes.size() < bankHeaderSize)
-        return false;
-    std::vector<char> trailer(bytes.end() - bankHeaderSize,
-                              bytes.end());
-    Reader tr(trailer);
-    uint64_t crc, len, magic_ver;
-    if (!tr.u64(crc) || !tr.u64(len) || !tr.u64(magic_ver))
-        return false;
-    if ((magic_ver & 0xffffffffu) != storeMagic ||
-        (magic_ver >> 32) != storeVersion) {
-        return false;
-    }
-    if (len > bytes.size() - bankHeaderSize)
-        return false;
-    const std::size_t payload_end = bytes.size() - bankHeaderSize;
-    std::vector<char> payload(
-        bytes.begin() + static_cast<long>(payload_end - len),
-        bytes.begin() + static_cast<long>(payload_end));
-    if (fnv1a(payload) != crc)
-        return false;
-    return parsePayload(payload, out);
-}
-
-/** Legacy v1 single-copy image: `[magicver][checksum][payload]`. */
-bool
-readLegacyV1(const std::vector<char> &bytes,
-             std::map<std::string, Fingerprint> &out)
-{
-    if (bytes.size() < 16)
-        return false;
-    std::vector<char> header(bytes.begin(), bytes.begin() + 16);
-    std::vector<char> payload(bytes.begin() + 16, bytes.end());
-    Reader hr(header);
-    uint64_t magic_ver, checksum;
-    if (!hr.u64(magic_ver) || !hr.u64(checksum))
-        return false;
-    if ((magic_ver & 0xffffffffu) != storeMagic ||
-        (magic_ver >> 32) != legacyVersion) {
-        return false;
-    }
-    if (fnv1a(payload) != checksum)
-        return false;
-
-    // v1 records carry no per-record framing.
-    Reader pr(payload);
-    uint64_t count;
-    if (!pr.u64(count))
-        return false;
-    std::map<std::string, Fingerprint> loaded;
-    for (uint64_t i = 0; i < count; ++i) {
-        std::string channel, label;
-        Waveform raw, residual;
-        if (!pr.str(channel) || !pr.str(label) || !pr.waveform(raw) ||
-            !pr.waveform(residual)) {
-            return false;
-        }
-        loaded[channel] = Fingerprint::fromParts(
-            std::move(raw), std::move(residual), std::move(label));
-    }
-    if (!pr.done())
-        return false;
-    out = std::move(loaded);
-    return true;
 }
 
 /**
@@ -311,24 +54,18 @@ readLegacyV1(const std::vector<char> &bytes,
 void
 diagnoseBankA(const std::vector<char> &bytes, EpromLoadReport &report)
 {
-    if (bytes.size() < bankHeaderSize)
+    if (bytes.size() < kBankHeaderSize)
         return;
-    std::vector<char> header(bytes.begin(),
-                             bytes.begin() + bankHeaderSize);
-    Reader hr(header);
+    store::ByteReader hr(bytes.data(), kBankHeaderSize);
     uint64_t magic_ver, len, crc;
-    if (!hr.u64(magic_ver) || !hr.u64(len) || !hr.u64(crc))
-        return;
-    if ((magic_ver & 0xffffffffu) != storeMagic ||
-        (magic_ver >> 32) != storeVersion ||
-        len > bytes.size() - bankHeaderSize) {
+    hr.u64(magic_ver);
+    hr.u64(len);
+    hr.u64(crc);
+    if (magic_ver != kMagicVer || len > bytes.size() - kBankHeaderSize) {
         report.detail += " (bank A header/framing damaged)";
         return;
     }
-    std::vector<char> payload(
-        bytes.begin() + bankHeaderSize,
-        bytes.begin() + static_cast<long>(bankHeaderSize + len));
-    Reader pr(payload);
+    store::ByteReader pr(bytes.data() + kBankHeaderSize, len);
     uint64_t count;
     if (!pr.u64(count))
         return;
@@ -344,7 +81,7 @@ diagnoseBankA(const std::vector<char> &bytes, EpromLoadReport &report)
         }
         report.failedRecordIndex = static_cast<int64_t>(index);
         report.failedRecordOffset = static_cast<int64_t>(offset);
-        Reader br(body);
+        store::ByteReader br(body);
         std::string id;
         if (br.str(id))
             report.failedRecordId = id;
@@ -357,6 +94,16 @@ diagnoseBankA(const std::vector<char> &bytes, EpromLoadReport &report)
         return;
     }
     report.detail += " (bank A whole-bank checksum failed)";
+}
+
+/** Keep only the fingerprints of legacy-parsed records. */
+std::map<std::string, Fingerprint>
+fingerprintsOf(std::map<std::string, store::EnrollmentRecord> &records)
+{
+    std::map<std::string, Fingerprint> out;
+    for (auto &[channel, record] : records)
+        out.emplace(channel, std::move(record.fp));
+    return out;
 }
 
 } // namespace
@@ -396,22 +143,20 @@ bool
 EnrollmentStore::saveToFile(const std::string &path) const
 {
     const std::vector<char> payload = buildPayload(store_);
-    const uint64_t magic_ver =
-        (static_cast<uint64_t>(storeVersion) << 32) | storeMagic;
     const uint64_t crc = fnv1a(payload);
 
     // Dual-bank image: bank A framed from the front, bank B from the
     // end (trailer fields reversed). The banks share no bytes, so any
     // single corruption leaves one complete copy intact.
     std::vector<char> image;
-    putU64(image, magic_ver);
+    putU64(image, kMagicVer);
     putU64(image, payload.size());
     putU64(image, crc);
     image.insert(image.end(), payload.begin(), payload.end());
     image.insert(image.end(), payload.begin(), payload.end());
     putU64(image, crc);
     putU64(image, payload.size());
-    putU64(image, magic_ver);
+    putU64(image, kMagicVer);
 
     // Atomic replace (temp sibling + flush + rename): a power cut
     // mid-save — including mid-*scrub*, where the file being replaced
@@ -448,25 +193,25 @@ EnrollmentStore::loadWithReport(const std::string &path,
 
     // Build into a local map and swap only on success, so a damaged
     // image never disturbs the in-memory store.
-    std::map<std::string, Fingerprint> loaded;
+    std::map<std::string, store::EnrollmentRecord> loaded;
 
-    if (readLegacyV1(bytes, loaded)) {
+    if (store::parseLegacyV1(bytes, loaded)) {
         report.ok = true;
         report.records = loaded.size();
         report.detail = "legacy v1 single-copy image";
-        store_ = std::move(loaded);
+        store_ = fingerprintsOf(loaded);
         return report;
     }
 
-    if (readBankA(bytes, loaded)) {
+    if (store::parseLegacyV2Bank(bytes, false, loaded)) {
         report.ok = true;
         report.bankUsed = 0;
         report.records = loaded.size();
-        store_ = std::move(loaded);
+        store_ = fingerprintsOf(loaded);
         return report;
     }
 
-    if (readBankB(bytes, loaded)) {
+    if (store::parseLegacyV2Bank(bytes, true, loaded)) {
         report.ok = true;
         report.bankUsed = 1;
         report.fellBack = true;
@@ -475,7 +220,7 @@ EnrollmentStore::loadWithReport(const std::string &path,
         diagnoseBankA(bytes, report);
         divot_warn("enrollment file '%s': %s", path.c_str(),
                    report.detail.c_str());
-        store_ = std::move(loaded);
+        store_ = fingerprintsOf(loaded);
         if (scrub_on_fallback) {
             // Scrub: rewrite a pristine dual-bank image so the next
             // corruption again has a healthy sibling to fall back on.

@@ -65,19 +65,6 @@ makeFingerprint(std::vector<double> raw, std::string label)
                                   std::move(label));
 }
 
-/** Drop one unit of per-channel admission load. */
-void
-releaseLoad(std::map<std::size_t, std::size_t> &load, std::size_t c)
-{
-    const auto it = load.find(c);
-    if (it == load.end())
-        return;
-    if (it->second > 1)
-        --it->second;
-    else
-        load.erase(it);
-}
-
 } // namespace
 
 std::string
@@ -90,7 +77,12 @@ MegaFleet::MegaFleet(MegaFleetConfig config, Rng rng)
     : config_(std::move(config)),
       rng_(rng),
       telemetry_(new Telemetry(config_.telemetry)),
-      pool_(new ThreadPool(config_.threads))
+      pool_(new ThreadPool(config_.threads)),
+      ledger_(*telemetry_, config_.requestQueueDepth,
+              config_.requestChannelDepth,
+              [this](const std::string &name) {
+                  return parseChannel(name);
+              })
 {
     if (config_.channels == 0)
         config_.channels = 1;
@@ -127,8 +119,6 @@ MegaFleet::MegaFleet(MegaFleetConfig config, Rng rng)
     tmHydrates_ = reg.counter("megafleet.hydrates");
     tmPending_ = reg.counter("megafleet.pending_reenroll");
     tmCrashRecoveries_ = reg.counter("megafleet.crash_recoveries");
-    tmRequests_ = reg.counter("megafleet.requests");
-    tmResponses_ = reg.counter("megafleet.responses");
     tmUtilization_ = reg.gauge("megafleet.instrument.utilization");
 }
 
@@ -285,74 +275,14 @@ MegaFleet::parseChannel(const std::string &name) const
     return value < config_.channels ? value : kNoChannel;
 }
 
-void
-MegaFleet::emitResponse(service::ServiceResponse response)
-{
-    responseDigest_ =
-        service::foldResponseDigest(responseDigest_, response);
-    ++serviceStats_.responses;
-    tmResponses_.add();
-    responses_.push_back(std::move(response));
-}
-
-void
-MegaFleet::rejectRequest(const service::ServiceRequest &request,
-                         service::ResponseStatus status)
-{
-    service::ServiceResponse response;
-    response.id = request.id;
-    response.kind = request.kind;
-    response.channel = request.channel;
-    response.status = status;
-    response.tick = tick_;
-    emitResponse(std::move(response));
-}
-
 bool
 MegaFleet::submit(const service::ServiceRequest &request)
 {
-    ++serviceStats_.submitted;
-    tmRequests_.add();
-    std::size_t channel = kNoChannel;
-    if (request.kind != service::RequestKind::FleetSummary) {
-        channel = parseChannel(request.channel);
-        if (channel == kNoChannel) {
-            ++serviceStats_.rejectedUnknown;
-            rejectRequest(request, service::ResponseStatus::Unknown);
-            return false;
-        }
-    }
-    const std::size_t inflight = admitted_.size() + parked_;
-    bool channelFull = false;
-    if (channel != kNoChannel) {
-        const auto it = channelLoad_.find(channel);
-        channelFull = it != channelLoad_.end() &&
-                      it->second >= config_.requestChannelDepth;
-    }
-    if (inflight >= config_.requestQueueDepth || channelFull) {
-        ++serviceStats_.rejectedBusy;
-        rejectRequest(request, service::ResponseStatus::Busy);
-        return false;
-    }
-    if (channel != kNoChannel)
-        ++channelLoad_[channel];
-    admitted_.push_back(Admitted{request, channel});
-    ++serviceStats_.admitted;
-    return true;
-}
-
-std::vector<service::ServiceResponse>
-MegaFleet::drainResponses()
-{
-    std::vector<service::ServiceResponse> out = std::move(responses_);
-    responses_.clear();
-    return out;
-}
-
-std::size_t
-MegaFleet::pendingRequests() const
-{
-    return admitted_.size() + parked_;
+    // Reject events are stamped with the modeled instrument-pool
+    // clock: the sum of every tick's probe makespan so far.
+    const double seconds =
+        capacitySeconds_ / static_cast<double>(config_.instruments);
+    return ledger_.submit(request, tick_, seconds) != nullptr;
 }
 
 bool
@@ -373,41 +303,29 @@ MegaFleet::putWithRecovery(const store::EnrollmentRecord &record)
 void
 MegaFleet::answerFenced(std::size_t channel)
 {
-    const auto it = verifyWaiting_.find(channel);
-    if (it == verifyWaiting_.end())
-        return;
-    for (const service::ServiceRequest &request : it->second) {
-        service::ServiceResponse response;
-        response.id = request.id;
-        response.kind = request.kind;
-        response.channel = request.channel;
+    for (const uint64_t ticket : ledger_.takeVerifies(channel)) {
+        service::ServiceResponse &response = ledger_.at(ticket).response;
         response.status = service::ResponseStatus::Fenced;
         response.state =
             static_cast<uint64_t>(AuthState::PendingReenroll);
         response.phase = static_cast<uint64_t>(ChannelPhase::Fenced);
-        response.tick = tick_;
-        releaseLoad(channelLoad_, channel);
-        --parked_;
-        emitResponse(std::move(response));
+        ledger_.complete(ticket, tick_);
     }
-    verifyWaiting_.erase(it);
     hot_.erase(channel);
 }
 
 void
 MegaFleet::processArrivals()
 {
-    while (!admitted_.empty()) {
-        const Admitted arrival = std::move(admitted_.front());
-        admitted_.pop_front();
-        const service::ServiceRequest &request = arrival.request;
-        const std::size_t c = arrival.channel;
-        service::ServiceResponse response;
-        response.id = request.id;
-        response.kind = request.kind;
-        response.channel = request.channel;
-        response.tick = tick_;
-        switch (request.kind) {
+    // Tickets are issued consecutively at admission, so every request
+    // admitted since the last tick holds a ticket in
+    // [arrived_, nextTicket()), in admission order.
+    for (; arrived_ < ledger_.nextTicket(); ++arrived_) {
+        const uint64_t ticket = arrived_;
+        service::RequestLedger::Entry &entry = ledger_.at(ticket);
+        const std::size_t c = entry.channel;
+        service::ServiceResponse &response = entry.response;
+        switch (response.kind) {
         case service::RequestKind::QuarantineStatus: {
             const ChannelSlot &slot = slots_[c];
             response.status = service::ResponseStatus::Ok;
@@ -422,8 +340,7 @@ MegaFleet::processArrivals()
             if (slot.lastScore >= 0.0f)
                 response.similarity =
                     static_cast<double>(slot.lastScore);
-            releaseLoad(channelLoad_, c);
-            emitResponse(std::move(response));
+            ledger_.complete(ticket, tick_);
             break;
         }
         case service::RequestKind::Enroll:
@@ -450,14 +367,12 @@ MegaFleet::processArrivals()
                 slots_[c].state = 0;
                 slots_[c].lastScore = -1.0f;
                 slots_[c].tampered = false;
-                if (config_.policy == SchedulerPolicy::RiskWeighted)
-                    hot_.insert(c);
+                hot_.insert(c);
             }
             response.state = static_cast<uint64_t>(
                 slots_[c].state == 0 ? AuthState::Monitoring
                                      : AuthState::PendingReenroll);
-            releaseLoad(channelLoad_, c);
-            emitResponse(std::move(response));
+            ledger_.complete(ticket, tick_);
             break;
         }
         case service::RequestKind::Verify:
@@ -467,18 +382,14 @@ MegaFleet::processArrivals()
                     AuthState::PendingReenroll);
                 response.phase =
                     static_cast<uint64_t>(ChannelPhase::Fenced);
-                releaseLoad(channelLoad_, c);
-                emitResponse(std::move(response));
+                ledger_.complete(ticket, tick_);
                 break;
             }
-            verifyWaiting_[c].push_back(request);
-            ++parked_;
-            if (config_.policy == SchedulerPolicy::RiskWeighted)
-                hot_.insert(c);
+            ledger_.parkVerify(c, ticket);
+            hot_.insert(c);
             break;
         case service::RequestKind::FleetSummary:
-            summaryWaiting_.push_back(request);
-            ++parked_;
+            ledger_.parkSummary(ticket);
             break;
         }
     }
@@ -498,18 +409,16 @@ MegaFleet::tick()
     std::vector<std::size_t> batch;
     batch.reserve(config_.probesPerTick);
     std::unordered_set<std::size_t> chosen;
-    if (config_.policy == SchedulerPolicy::RiskWeighted) {
-        for (auto it = hot_.begin();
-             it != hot_.end() && batch.size() < config_.probesPerTick;) {
-            const std::size_t i = *it;
-            if (slots_[i].state != 0) {
-                it = hot_.erase(it);
-                continue;
-            }
-            batch.push_back(i);
-            chosen.insert(i);
-            ++it;
+    for (auto it = hot_.begin();
+         it != hot_.end() && batch.size() < config_.probesPerTick;) {
+        const std::size_t i = *it;
+        if (slots_[i].state != 0) {
+            it = hot_.erase(it);
+            continue;
         }
+        batch.push_back(i);
+        chosen.insert(i);
+        ++it;
     }
     for (std::size_t scanned = 0;
          scanned < config_.channels &&
@@ -635,41 +544,26 @@ MegaFleet::tick()
         // Hot-tier maintenance: channels that look risky (tamper trip
         // or a below-threshold score) stay hot and get probed again
         // next tick; clean ones fall back to the round-robin tail.
-        if (config_.policy == SchedulerPolicy::RiskWeighted) {
-            const bool risky =
-                tampered[j] != 0 ||
-                scores[j] < config_.similarityThreshold;
-            if (risky)
-                hot_.insert(c);
-            else
-                hot_.erase(c);
-        }
+        if (tampered[j] != 0 || scores[j] < config_.similarityThreshold)
+            hot_.insert(c);
+        else
+            hot_.erase(c);
 
         // Answer every Verify parked on this channel with the fresh
         // verdict (serial, batch order — deterministic).
-        const auto wit = verifyWaiting_.find(c);
-        if (wit != verifyWaiting_.end()) {
-            for (const service::ServiceRequest &request : wit->second) {
-                service::ServiceResponse response;
-                response.id = request.id;
-                response.kind = request.kind;
-                response.channel = request.channel;
-                response.status = service::ResponseStatus::Ok;
-                response.tick = tick_;
-                response.state =
-                    static_cast<uint64_t>(AuthState::Monitoring);
-                response.phase =
-                    static_cast<uint64_t>(ChannelPhase::Idle);
-                response.similarity = scores[j];
-                if (scores[j] >= config_.similarityThreshold)
-                    response.flags |= service::kResponseAuthenticated;
-                if (tampered[j] != 0)
-                    response.flags |= service::kResponseTamper;
-                releaseLoad(channelLoad_, c);
-                --parked_;
-                emitResponse(std::move(response));
-            }
-            verifyWaiting_.erase(wit);
+        for (const uint64_t ticket : ledger_.takeVerifies(c)) {
+            service::ServiceResponse &response =
+                ledger_.at(ticket).response;
+            response.status = service::ResponseStatus::Ok;
+            response.state =
+                static_cast<uint64_t>(AuthState::Monitoring);
+            response.phase = static_cast<uint64_t>(ChannelPhase::Idle);
+            response.similarity = scores[j];
+            if (scores[j] >= config_.similarityThreshold)
+                response.flags |= service::kResponseAuthenticated;
+            if (tampered[j] != 0)
+                response.flags |= service::kResponseTamper;
+            ledger_.complete(ticket, tick_);
         }
     }
 
@@ -698,26 +592,19 @@ MegaFleet::tick()
     v.busTrusted = v.busAuthenticated && !v.tamperAlarm;
 
     // Answer every FleetSummary parked on this epoch's fusion.
-    if (!summaryWaiting_.empty()) {
-        for (const service::ServiceRequest &request : summaryWaiting_) {
-            service::ServiceResponse response;
-            response.id = request.id;
-            response.kind = request.kind;
-            response.status = service::ResponseStatus::Ok;
-            response.tick = tick_;
-            response.similarity = v.fusedSimilarity;
-            response.channels = config_.channels;
-            response.fenced = report_.pendingReenroll;
-            if (v.busAuthenticated)
-                response.flags |= service::kResponseAuthenticated;
-            if (v.tamperAlarm)
-                response.flags |= service::kResponseTamper;
-            if (v.busTrusted)
-                response.flags |= service::kResponseTrusted;
-            --parked_;
-            emitResponse(std::move(response));
-        }
-        summaryWaiting_.clear();
+    for (const uint64_t ticket : ledger_.takeSummaries()) {
+        service::ServiceResponse &response = ledger_.at(ticket).response;
+        response.status = service::ResponseStatus::Ok;
+        response.similarity = v.fusedSimilarity;
+        response.channels = config_.channels;
+        response.fenced = report_.pendingReenroll;
+        if (v.busAuthenticated)
+            response.flags |= service::kResponseAuthenticated;
+        if (v.tamperAlarm)
+            response.flags |= service::kResponseTamper;
+        if (v.busTrusted)
+            response.flags |= service::kResponseTrusted;
+        ledger_.complete(ticket, tick_);
     }
 
     // Fold the verdict into the running FNV digest — the quantity the

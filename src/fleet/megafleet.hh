@@ -44,8 +44,6 @@
 #define DIVOT_FLEET_MEGAFLEET_HH
 
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -54,6 +52,7 @@
 #include "fingerprint/fusion.hh"
 #include "fleet/channel_scheduler.hh"
 #include "fleet/reactor.hh"
+#include "service/ledger.hh"
 #include "service/request.hh"
 #include "store/enrollment_db.hh"
 #include "telemetry/telemetry.hh"
@@ -98,19 +97,6 @@ struct MegaFleetConfig
                                     //!< Pure accounting — probe math
                                     //!< and verdict digests are
                                     //!< identical in both modes
-
-    /**
-     * Probe-batch selection. RiskWeighted (default) is hierarchical:
-     * a deterministic hot set — channels whose last probe tripped the
-     * tamper bar or scored below the similarity threshold, plus every
-     * channel named by a pending service request — is probed first in
-     * ascending index order, and the remaining budget backfills
-     * round-robin from the cursor. O(hot + batch) per tick, so the
-     * risk tier never costs an O(N log N) fleet-wide sort. RoundRobin
-     * is the legacy pure-rotation schedule. With an empty hot set the
-     * two are identical, batch for batch.
-     */
-    SchedulerPolicy policy = SchedulerPolicy::RiskWeighted;
 
     /** Global admission bound of the request front end (in-flight
      *  requests; beyond it submits reject Busy). */
@@ -205,8 +191,8 @@ class MegaFleet
      *  (heterogeneous, so scheduling modes actually differ). */
     double probeDuration(std::size_t index) const;
 
-    /** @name Request front end (the same protocol FleetService
-     *  answers — service/request.hh). */
+    /** @name Request front end (the same protocol and the same
+     *  RequestLedger as FleetService — service/ledger.hh). */
     ///@{
     /**
      * Submit one request. Bounded admission, decided synchronously:
@@ -222,20 +208,23 @@ class MegaFleet
     bool submit(const service::ServiceRequest &request);
 
     /** Move out responses emitted so far, in emission order. */
-    std::vector<service::ServiceResponse> drainResponses();
+    std::vector<service::ServiceResponse> drainResponses()
+    {
+        return ledger_.drainResponses();
+    }
 
     /** @return chained FNV digest over every emitted response frame
      *  (the request-leg bit-identity currency). */
-    uint64_t responseDigest() const { return responseDigest_; }
+    uint64_t responseDigest() const { return ledger_.digest(); }
 
     /** @return admission/emission totals of the front end. */
     const service::ServiceStats &serviceStats() const
     {
-        return serviceStats_;
+        return ledger_.stats();
     }
 
     /** @return requests admitted but not yet answered. */
-    std::size_t pendingRequests() const;
+    std::size_t pendingRequests() const { return ledger_.pending(); }
     ///@}
 
   private:
@@ -247,16 +236,9 @@ class MegaFleet
         bool tampered = false;   //!< latest probe tripped the wire bar
     };
 
-    /** One admitted request (channel resolved at admission). */
-    struct Admitted
-    {
-        service::ServiceRequest request;
-        std::size_t channel = kNoChannel;
-    };
-
     /** Sentinel channel for FleetSummary / unknown names. */
     static constexpr std::size_t kNoChannel =
-        static_cast<std::size_t>(-1);
+        service::RequestLedger::kNoChannel;
 
     void reopenDb();
     MegaFleetVerdict fuse();
@@ -267,11 +249,6 @@ class MegaFleet
     /** Parse "ch<i>" into an index; kNoChannel when malformed or out
      *  of range. */
     std::size_t parseChannel(const std::string &name) const;
-    /** Fold + record one emitted response. */
-    void emitResponse(service::ServiceResponse response);
-    /** Emit an immediate rejection at submit time. */
-    void rejectRequest(const service::ServiceRequest &request,
-                       service::ResponseStatus status);
     /** Answer every verify ticket parked on `channel` as Fenced. */
     void answerFenced(std::size_t channel);
     /** Drain admitted requests into the tick: immediate kinds answer
@@ -298,21 +275,17 @@ class MegaFleet
 
     /** @name Request front end + hot-set tier. */
     ///@{
-    /** Risk tier: channels probed ahead of the rotation (ascending
-     *  order — std::set keeps selection deterministic). Members are
-     *  re-evaluated when probed. */
+    /**
+     * Risk tier, probed ahead of the round-robin rotation: channels
+     * whose last probe tripped the tamper bar or scored below the
+     * similarity threshold, plus every channel named by a pending
+     * Verify or a fresh (re)enrollment. Ascending order (std::set)
+     * keeps selection deterministic; members are re-evaluated when
+     * probed. O(hot + batch) per tick, never a fleet-wide sort.
+     */
     std::set<std::size_t> hot_;
-    std::deque<Admitted> admitted_;  //!< not yet entered a tick
-    /** channel → verify requests waiting for its next probe. */
-    std::map<std::size_t, std::vector<service::ServiceRequest>>
-        verifyWaiting_;
-    std::vector<service::ServiceRequest> summaryWaiting_;
-    std::map<std::size_t, std::size_t> channelLoad_; //!< in-flight
-    std::size_t parked_ = 0; //!< verify/summary requests carried
-                             //!< across ticks (admission accounting)
-    std::vector<service::ServiceResponse> responses_;
-    uint64_t responseDigest_ = 0;
-    service::ServiceStats serviceStats_;
+    service::RequestLedger ledger_;
+    uint64_t arrived_ = 0; //!< tickets below this have entered a tick
     ///@}
 
     Counter tmTicks_;
@@ -320,8 +293,6 @@ class MegaFleet
     Counter tmHydrates_;
     Counter tmPending_;
     Counter tmCrashRecoveries_;
-    Counter tmRequests_;  //!< megafleet.requests
-    Counter tmResponses_; //!< megafleet.responses
     Gauge tmUtilization_; //!< megafleet.instrument.utilization, ‰
 };
 

@@ -1,55 +1,29 @@
 #include "service/fleet_service.hh"
 
-#include <algorithm>
-
-#include "util/logging.hh"
-
 namespace divot::service {
 
-FleetService::FleetService(ChannelScheduler &fleet) : fleet_(fleet)
+static_assert(RequestLedger::kNoChannel == ChannelScheduler::kNoChannel,
+              "findChannel() must speak the ledger's sentinel");
+
+FleetService::FleetService(ChannelScheduler &fleet)
+    : fleet_(fleet),
+      ledger_(fleet.telemetry(), fleet.config().requestQueueDepth,
+              fleet.config().requestChannelDepth,
+              [&fleet](const std::string &name) {
+                  return fleet.findChannel(name);
+              })
 {
-    channelLoad_.assign(fleet_.channelCount(), 0);
-    pendingVerify_.assign(fleet_.channelCount(), {});
-    Registry &reg = fleet_.telemetry().registry();
-    for (std::size_t i = 0; i < kRequestKinds; ++i) {
-        tmRequests_[i] = reg.counter(
-            std::string("service.requests.") +
-            requestKindName(static_cast<RequestKind>(i)));
-    }
-    for (std::size_t i = 0; i < kResponseStatuses; ++i) {
-        tmResponses_[i] = reg.counter(
-            std::string("service.responses.") +
-            responseStatusName(static_cast<ResponseStatus>(i)));
-    }
-    tmAdmitted_ = reg.counter("service.admitted");
-    tmRejected_ = reg.counter("service.rejected");
-    tmQueuePeak_ = reg.gauge("service.queue.peak");
     fleet_.attachService(this);
 }
 
 FleetService::~FleetService()
 {
-    // Close abandoned request spans in ticket order: the span ring is
-    // part of the byte-stable export, so even teardown must not leak
-    // hash-map iteration order into it.
-    std::vector<uint64_t> tickets;
-    tickets.reserve(inflight_.size());
-    for (const auto &entry : inflight_)
-        tickets.push_back(entry.first);
-    std::sort(tickets.begin(), tickets.end());
-    for (const uint64_t ticket : tickets)
-        inflight_[ticket].span.close(fleet_.elapsedSeconds(), 0);
+    // Close abandoned request spans in ticket order (spans_ is an
+    // ordered map): the span ring is part of the byte-stable export,
+    // so even teardown must not leak hash-map iteration order into it.
+    for (auto &entry : spans_)
+        entry.second.close(fleet_.elapsedSeconds(), 0);
     fleet_.attachService(nullptr);
-}
-
-FleetService::Pending &
-FleetService::pendingAt(uint64_t ticket)
-{
-    const auto it = inflight_.find(ticket);
-    if (it == inflight_.end())
-        divot_fatal("service: no in-flight request for ticket %llu",
-                    static_cast<unsigned long long>(ticket));
-    return it->second;
 }
 
 void
@@ -68,76 +42,17 @@ FleetService::fillChannelState(std::size_t channel,
     }
 }
 
-void
-FleetService::emitResponse(ServiceResponse response)
-{
-    digest_ = foldResponseDigest(digest_, response);
-    tmResponses_[static_cast<std::size_t>(response.status)].add();
-    ++stats_.responses;
-    emitted_.push_back(std::move(response));
-}
-
-void
-FleetService::reject(const ServiceRequest &request,
-                     ResponseStatus status)
-{
-    ServiceResponse response;
-    response.id = request.id;
-    response.kind = request.kind;
-    response.channel = request.channel;
-    response.status = status;
-    response.tick = fleet_.ticks();
-    tmRejected_.add();
-    TelemetryEvent event;
-    event.time = fleet_.elapsedSeconds();
-    event.ordinal = request.id;
-    event.kind = "service.reject";
-    event.tag = requestKindName(request.kind);
-    event.detail = responseStatusName(status);
-    fleet_.telemetry().events().record(std::move(event));
-    emitResponse(std::move(response));
-}
-
 bool
 FleetService::submit(const ServiceRequest &request)
 {
-    ++stats_.submitted;
-    tmRequests_[static_cast<std::size_t>(request.kind)].add();
-    if (channelLoad_.size() < fleet_.channelCount()) {
-        channelLoad_.resize(fleet_.channelCount(), 0);
-        pendingVerify_.resize(fleet_.channelCount());
-    }
-    std::size_t channel = ChannelScheduler::kNoChannel;
-    if (request.kind != RequestKind::FleetSummary) {
-        channel = fleet_.findChannel(request.channel);
-        if (channel == ChannelScheduler::kNoChannel) {
-            ++stats_.rejectedUnknown;
-            reject(request, ResponseStatus::Unknown);
-            return false;
-        }
-    }
-    const FleetConfig &config = fleet_.config();
-    const bool globalFull = inflight_.size() >= config.requestQueueDepth;
-    const bool channelFull =
-        channel != ChannelScheduler::kNoChannel &&
-        channelLoad_[channel] >= config.requestChannelDepth;
-    if (globalFull || channelFull) {
-        ++stats_.rejectedBusy;
-        reject(request, ResponseStatus::Busy);
+    const RequestLedger::Entry *entry = ledger_.submit(
+        request, fleet_.ticks(), fleet_.elapsedSeconds());
+    if (entry == nullptr)
         return false;
-    }
-    const uint64_t ticket = nextTicket_++;
-    Pending pending;
-    pending.request = request;
-    pending.channel = channel;
-    inflight_.emplace(ticket, std::move(pending));
-    if (channel != ChannelScheduler::kNoChannel)
-        ++channelLoad_[channel];
-    ++stats_.admitted;
-    tmAdmitted_.add();
-    tmQueuePeak_.max(static_cast<int64_t>(inflight_.size()));
     fleet_.scheduleRequestArrival(
-        channel == ChannelScheduler::kNoChannel ? 0 : channel, ticket);
+        entry->channel == ChannelScheduler::kNoChannel ? 0
+                                                       : entry->channel,
+        entry->ticket);
     return true;
 }
 
@@ -149,7 +64,7 @@ FleetService::submitStream(const std::vector<char> &bytes)
     for (const ServiceRequest &request : requests)
         submit(request);
     if (!decode.ok())
-        ++stats_.parseErrors;
+        ledger_.countParseError();
     return decode;
 }
 
@@ -159,72 +74,53 @@ FleetService::tick()
     return fleet_.tick();
 }
 
-std::vector<ServiceResponse>
-FleetService::drainResponses()
-{
-    std::vector<ServiceResponse> out = std::move(emitted_);
-    emitted_.clear();
-    return out;
-}
-
 void
 FleetService::onRequestArrival(const ReactorEvent &event)
 {
-    Pending &pending = pendingAt(event.ticket);
-    pending.span = fleet_.telemetry().tracer().open(
-        "service.request", requestKindName(pending.request.kind),
-        event.vtime, pending.request.id);
-    ServiceResponse &response = pending.response;
-    response.id = pending.request.id;
-    response.kind = pending.request.kind;
-    response.channel = pending.request.channel;
-    switch (pending.request.kind) {
+    RequestLedger::Entry &entry = ledger_.at(event.ticket);
+    const std::size_t channel = entry.channel;
+    ServiceResponse &response = entry.response;
+    spans_[event.ticket] = fleet_.telemetry().tracer().open(
+        "service.request", requestKindName(response.kind), event.vtime,
+        response.id);
+    switch (response.kind) {
     case RequestKind::QuarantineStatus:
-        fillChannelState(pending.channel, response);
+        fillChannelState(channel, response);
         response.status = ResponseStatus::Ok;
-        fleet_.scheduleRequestComplete(pending.channel, event.ticket,
+        fleet_.scheduleRequestComplete(channel, event.ticket,
                                        event.vtime);
         return;
-    case RequestKind::Enroll: {
-        const bool ok = fleet_.persistEnrollment(pending.channel);
-        response.status =
-            ok ? ResponseStatus::Ok : ResponseStatus::Rejected;
-        fillChannelState(pending.channel, response);
-        response.generation =
-            fleet_.enrollmentGeneration(pending.channel);
-        fleet_.scheduleRequestComplete(pending.channel, event.ticket,
-                                       event.vtime);
-        return;
-    }
+    case RequestKind::Enroll:
     case RequestKind::Reenroll: {
-        const bool ok = fleet_.reenrollChannel(pending.channel);
+        const bool ok = response.kind == RequestKind::Enroll
+                            ? fleet_.persistEnrollment(channel)
+                            : fleet_.reenrollChannel(channel);
         response.status =
             ok ? ResponseStatus::Ok : ResponseStatus::Rejected;
-        fillChannelState(pending.channel, response);
-        response.generation =
-            fleet_.enrollmentGeneration(pending.channel);
-        fleet_.scheduleRequestComplete(pending.channel, event.ticket,
+        fillChannelState(channel, response);
+        response.generation = fleet_.enrollmentGeneration(channel);
+        fleet_.scheduleRequestComplete(channel, event.ticket,
                                        event.vtime);
         return;
     }
     case RequestKind::Verify:
-        if (fleet_.channel(pending.channel).state() ==
+        if (fleet_.channel(channel).state() ==
             AuthState::PendingReenroll) {
             // No enrollment to probe against: answer Fenced without
             // burning an instrument slot.
-            fillChannelState(pending.channel, response);
+            fillChannelState(channel, response);
             response.status = ResponseStatus::Fenced;
-            fleet_.scheduleRequestComplete(pending.channel,
-                                           event.ticket, event.vtime);
+            fleet_.scheduleRequestComplete(channel, event.ticket,
+                                           event.vtime);
             return;
         }
         // Request pressure is risk pressure: the boosted channel wins
         // the next dispatch and this ticket rides on its verdict.
-        fleet_.boostChannel(pending.channel);
-        pendingVerify_[pending.channel].push_back(event.ticket);
+        fleet_.boostChannel(channel);
+        ledger_.parkVerify(channel, event.ticket);
         return;
     case RequestKind::FleetSummary:
-        pendingSummary_.push_back(event.ticket);
+        ledger_.parkSummary(event.ticket);
         return;
     }
 }
@@ -233,14 +129,8 @@ void
 FleetService::onProbeObserved(std::size_t channel,
                               const AuthVerdict &verdict, double vtime)
 {
-    if (channel >= pendingVerify_.size())
-        return;
-    std::vector<uint64_t> &waiting = pendingVerify_[channel];
-    if (waiting.empty())
-        return;
-    for (const uint64_t ticket : waiting) {
-        Pending &pending = pendingAt(ticket);
-        ServiceResponse &response = pending.response;
+    for (const uint64_t ticket : ledger_.takeVerifies(channel)) {
+        ServiceResponse &response = ledger_.at(ticket).response;
         response.similarity = verdict.similarity;
         response.state = static_cast<uint64_t>(verdict.stateAfter);
         response.phase =
@@ -255,17 +145,13 @@ FleetService::onProbeObserved(std::size_t channel,
                 : ResponseStatus::Ok;
         fleet_.scheduleRequestComplete(channel, ticket, vtime);
     }
-    waiting.clear();
 }
 
 void
 FleetService::onEpochFused(const FleetVerdict &fused, double vtime)
 {
-    if (pendingSummary_.empty())
-        return;
-    for (const uint64_t ticket : pendingSummary_) {
-        Pending &pending = pendingAt(ticket);
-        ServiceResponse &response = pending.response;
+    for (const uint64_t ticket : ledger_.takeSummaries()) {
+        ServiceResponse &response = ledger_.at(ticket).response;
         response.status = ResponseStatus::Ok;
         response.similarity = fused.fusedSimilarity;
         response.channels = fused.channels;
@@ -279,25 +165,14 @@ FleetService::onEpochFused(const FleetVerdict &fused, double vtime)
             response.flags |= kResponseTrusted;
         fleet_.scheduleRequestComplete(0, ticket, vtime);
     }
-    pendingSummary_.clear();
 }
 
 void
 FleetService::onRequestComplete(const ReactorEvent &event)
 {
-    const auto it = inflight_.find(event.ticket);
-    if (it == inflight_.end())
-        divot_fatal("service: RequestComplete for unknown ticket %llu",
-                    static_cast<unsigned long long>(event.ticket));
-    Pending &pending = it->second;
-    pending.response.tick = fleet_.ticks();
-    pending.span.close(event.vtime, 0);
-    if (pending.channel != ChannelScheduler::kNoChannel &&
-        channelLoad_[pending.channel] > 0) {
-        --channelLoad_[pending.channel];
-    }
-    emitResponse(std::move(pending.response));
-    inflight_.erase(it);
+    spans_[event.ticket].close(event.vtime, 0);
+    spans_.erase(event.ticket);
+    ledger_.complete(event.ticket, fleet_.ticks());
 }
 
 } // namespace divot::service

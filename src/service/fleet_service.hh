@@ -24,19 +24,23 @@
  *    an instrument when the channel is already quarantined.
  *  - FleetSummary waits for the epoch's fusion.
  *
- * Every response is folded into a chained FNV digest of its encoded
- * frame; two runs served the same traffic iff digests match, which is
- * what the serial-vs-pooled and lane gates compare.
+ * Admission, parking and emission go through the RequestLedger that
+ * MegaFleet shares; this class is the bridge between the ledger and
+ * the fleet reactor. Every response is folded into a chained FNV
+ * digest of its encoded frame; two runs served the same traffic iff
+ * digests match, which is what the serial-vs-pooled and lane gates
+ * compare.
  */
 
 #ifndef DIVOT_SERVICE_FLEET_SERVICE_HH
 #define DIVOT_SERVICE_FLEET_SERVICE_HH
 
 #include <cstdint>
-#include <unordered_map>
+#include <map>
 #include <vector>
 
 #include "fleet/channel_scheduler.hh"
+#include "service/ledger.hh"
 #include "service/request.hh"
 
 namespace divot::service {
@@ -78,17 +82,20 @@ class FleetService final : public ServiceHook
     FleetRound tick();
 
     /** Move out the responses emitted so far, in emission order. */
-    std::vector<ServiceResponse> drainResponses();
+    std::vector<ServiceResponse> drainResponses()
+    {
+        return ledger_.drainResponses();
+    }
 
     /** @return chained FNV digest over every emitted response frame
      *  (rejections included), regardless of drains. */
-    uint64_t responseDigest() const { return digest_; }
+    uint64_t responseDigest() const { return ledger_.digest(); }
 
     /** @return admitted requests not yet answered. */
-    std::size_t pendingRequests() const { return inflight_.size(); }
+    std::size_t pendingRequests() const { return ledger_.pending(); }
 
     /** @return admission/emission totals. */
-    const ServiceStats &stats() const { return stats_; }
+    const ServiceStats &stats() const { return ledger_.stats(); }
 
     /** @return the fleet this service fronts. */
     ChannelScheduler &fleet() { return fleet_; }
@@ -104,40 +111,14 @@ class FleetService final : public ServiceHook
     ///@}
 
   private:
-    /** One admitted request waiting for its RequestComplete. */
-    struct Pending
-    {
-        ServiceRequest request;
-        std::size_t channel = ChannelScheduler::kNoChannel;
-        ServiceResponse response; //!< built by the lifecycle handlers
-        SpanScope span;           //!< service.request span
-    };
-
     ChannelScheduler &fleet_;
-    std::unordered_map<uint64_t, Pending> inflight_; //!< by ticket
-    uint64_t nextTicket_ = 0;
-    std::vector<std::size_t> channelLoad_; //!< in-flight per channel
-    std::vector<std::vector<uint64_t>> pendingVerify_; //!< tickets
-                                                       //!< per channel
-    std::vector<uint64_t> pendingSummary_;
-    std::vector<ServiceResponse> emitted_;
-    uint64_t digest_ = 0;
-    ServiceStats stats_;
+    RequestLedger ledger_;
+    std::map<uint64_t, SpanScope> spans_; //!< service.request spans
+                                          //!< of arrived tickets
 
-    Counter tmRequests_[kRequestKinds];    //!< service.requests.<kind>
-    Counter tmResponses_[kResponseStatuses]; //!< service.responses.<s>
-    Counter tmAdmitted_;                   //!< service.admitted
-    Counter tmRejected_;                   //!< service.rejected
-    Gauge tmQueuePeak_;                    //!< service.queue.peak
-
-    /** Emit an immediate rejection response at submit time. */
-    void reject(const ServiceRequest &request, ResponseStatus status);
-    /** Fold + record + store a finished response. */
-    void emitResponse(ServiceResponse response);
     /** Snapshot channel lifecycle fields into `response`. */
     void fillChannelState(std::size_t channel,
                           ServiceResponse &response) const;
-    Pending &pendingAt(uint64_t ticket);
 };
 
 } // namespace divot::service

@@ -187,7 +187,7 @@ uint64_t foldResponseDigest(uint64_t digest,
                             const ServiceResponse &response);
 
 /** Deterministic admission/emission totals of a request front end
- *  (FleetService and MegaFleet keep one each). */
+ *  (kept by the RequestLedger both front ends share). */
 struct ServiceStats
 {
     uint64_t submitted = 0; //!< submit() calls

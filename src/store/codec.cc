@@ -516,8 +516,24 @@ findShardRecord(const std::vector<char> &bytes, const std::string &id,
 
 namespace {
 
-constexpr uint32_t kLegacyV1 = 1;
-constexpr uint32_t kLegacyV2 = 2;
+/** Legacy waveform: like ByteReader::waveform, but dt must be positive
+ *  even for an empty waveform, as the EnrollmentStore reader always
+ *  required. */
+bool
+readLegacyWaveform(ByteReader &br, Waveform &w)
+{
+    double dt, t0;
+    uint64_t n;
+    if (!br.f64(dt) || !br.f64(t0) || !br.u64(n))
+        return false;
+    if (dt <= 0.0 || n > (1ull << 32) || n * 8 > br.remaining())
+        return false;
+    std::vector<double> samples(n);
+    for (auto &x : samples)
+        br.f64(x);
+    w = Waveform(dt, std::move(samples), t0);
+    return true;
+}
 
 /** v1/v2 record body: [channel][label][raw][residual]. */
 bool
@@ -526,8 +542,9 @@ decodeLegacyBody(ByteReader &br, EnrollmentRecord &out)
     EnrollmentRecord rec;
     std::string label;
     Waveform raw, residual;
-    if (!br.str(rec.id) || !br.str(label) || !br.waveform(raw) ||
-        !br.waveform(residual)) {
+    if (!br.str(rec.id) || !br.str(label) ||
+        !readLegacyWaveform(br, raw) ||
+        !readLegacyWaveform(br, residual)) {
         return false;
     }
     if (raw.empty())
@@ -567,22 +584,23 @@ parseLegacyPayload(const char *data, std::size_t n,
     return true;
 }
 
+} // namespace
+
 bool
 parseLegacyV1(const std::vector<char> &bytes,
               std::map<std::string, EnrollmentRecord> &out)
 {
     if (bytes.size() < 16)
         return false;
-    ByteReader hr(bytes.data(), 16);
-    uint64_t magic_ver = 0, checksum = 0;
-    hr.u64(magic_ver);
-    hr.u64(checksum);
+    const uint64_t magic_ver = readU64At(bytes, 0);
     if ((magic_ver & 0xffffffffu) != kStoreMagic ||
         (magic_ver >> 32) != kLegacyV1) {
         return false;
     }
-    if (fnv1a(bytes.data() + 16, bytes.size() - 16) != checksum)
+    if (fnv1a(bytes.data() + 16, bytes.size() - 16) !=
+        readU64At(bytes, 8)) {
         return false;
+    }
 
     // v1 records carry no per-record framing.
     ByteReader pr(bytes.data() + 16, bytes.size() - 16);
@@ -603,47 +621,29 @@ parseLegacyV1(const std::vector<char> &bytes,
 }
 
 bool
-parseLegacyV2(const std::vector<char> &bytes,
-              std::map<std::string, EnrollmentRecord> &out)
+parseLegacyV2Bank(const std::vector<char> &bytes, bool bank_b,
+                  std::map<std::string, EnrollmentRecord> &out)
 {
     if (bytes.size() < 2 * kBankHeaderSize)
         return false;
-
-    // Bank A from the front.
-    {
-        uint64_t magic_ver = readU64At(bytes, 0);
-        uint64_t len = readU64At(bytes, 8);
-        uint64_t crc = readU64At(bytes, 16);
-        if ((magic_ver & 0xffffffffu) == kStoreMagic &&
-            (magic_ver >> 32) == kLegacyV2 &&
-            len <= bytes.size() - kBankHeaderSize &&
-            fnv1a(bytes.data() + kBankHeaderSize, len) == crc &&
-            parseLegacyPayload(bytes.data() + kBankHeaderSize, len,
-                               out)) {
-            return true;
-        }
-    }
-
-    // Bank B from the end, trailer fields reversed.
-    const std::size_t t = bytes.size() - kBankHeaderSize;
-    uint64_t crc = readU64At(bytes, t);
-    uint64_t len = readU64At(bytes, t + 8);
-    uint64_t magic_ver = readU64At(bytes, t + 16);
+    // Bank A: [magicver][len][crc] at the front. Bank B: the same
+    // fields mirrored in the trailer, [crc][len][magicver].
+    const std::size_t t = bank_b ? bytes.size() - kBankHeaderSize : 0;
+    const uint64_t magic_ver = readU64At(bytes, bank_b ? t + 16 : t);
+    const uint64_t len = readU64At(bytes, t + 8);
+    const uint64_t crc = readU64At(bytes, bank_b ? t : t + 16);
     if ((magic_ver & 0xffffffffu) != kStoreMagic ||
         (magic_ver >> 32) != kLegacyV2 ||
         len > bytes.size() - kBankHeaderSize) {
         return false;
     }
-    const std::size_t payload_end = bytes.size() - kBankHeaderSize;
-    if (payload_end < len)
+    // Bank A's payload follows its header; bank B's ends at its
+    // trailer.
+    const std::size_t offset = bank_b ? t - len : kBankHeaderSize;
+    if (fnv1a(bytes.data() + offset, len) != crc)
         return false;
-    if (fnv1a(bytes.data() + (payload_end - len), len) != crc)
-        return false;
-    return parseLegacyPayload(bytes.data() + (payload_end - len), len,
-                              out);
+    return parseLegacyPayload(bytes.data() + offset, len, out);
 }
-
-} // namespace
 
 int
 parseLegacyImage(const std::vector<char> &bytes,
@@ -651,8 +651,10 @@ parseLegacyImage(const std::vector<char> &bytes,
 {
     if (parseLegacyV1(bytes, out))
         return 1;
-    if (parseLegacyV2(bytes, out))
+    if (parseLegacyV2Bank(bytes, false, out) ||
+        parseLegacyV2Bank(bytes, true, out)) {
         return 2;
+    }
     return 0;
 }
 

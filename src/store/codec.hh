@@ -152,10 +152,29 @@ int findShardRecord(const std::vector<char> &bytes,
                     const std::string &id, EnrollmentRecord &out);
 
 /**
- * Parse a legacy image into v3 records: v1 (single-copy, whole-image
- * checksum) or v2 (the dual-bank EnrollmentStore format, bank A then
- * bank B). Imported records carry an empty nominal response and zero
- * flags/generation — the fields the old formats never stored.
+ * @name Legacy readers — the only v1/v2 parsers; the EnrollmentStore
+ * loader and parseLegacyImage both use them. Records come back as v3
+ * records carrying only id and fingerprint (empty nominal response,
+ * zero flags/generation — the fields the old formats never stored).
+ * Strict: `out` is replaced only when every check passes.
+ */
+///@{
+/** v1 single-copy image: `[magicver][fnv1a(payload)][payload]`, the
+ *  records unframed. */
+bool parseLegacyV1(const std::vector<char> &bytes,
+                   std::map<std::string, EnrollmentRecord> &out);
+
+/** One bank of a v2 dual-bank image: bank A framed from the front
+ *  (`[magicver][len][crc][payload]`), bank B from the end with the
+ *  trailer fields mirrored. Checks the header, the whole-bank
+ *  checksum, and every record frame and body. */
+bool parseLegacyV2Bank(const std::vector<char> &bytes, bool bankB,
+                       std::map<std::string, EnrollmentRecord> &out);
+///@}
+
+/**
+ * Parse a legacy image into v3 records: v1, else v2 bank A, else v2
+ * bank B.
  *
  * @return detected format version (1 or 2) on success, 0 when the
  *         bytes parse as neither (out untouched)
@@ -165,6 +184,8 @@ int parseLegacyImage(const std::vector<char> &bytes,
 
 /** Magic/version constants shared with the legacy EnrollmentStore. */
 constexpr uint32_t kStoreMagic = 0x44495654; // "DIVT"
+constexpr uint32_t kLegacyV1 = 1;  //!< single-copy EPROM image
+constexpr uint32_t kLegacyV2 = 2;  //!< dual-bank EnrollmentStore image
 constexpr uint32_t kShardVersion = 3;
 constexpr std::size_t kBankHeaderSize = 24; // magic/ver + len + crc
 

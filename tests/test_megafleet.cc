@@ -156,5 +156,80 @@ TEST(MegaFleet, DestroyedShardFencesItsChannelsNeverJunk)
     EXPECT_TRUE(second.busAuthenticated);
 }
 
+TEST(MegaFleet, PinnedMixedScheduleDigests)
+{
+    // Cross-build equality evidence for the request front end: the
+    // literals below were taken before MegaFleet moved onto the shared
+    // RequestLedger, and every later refactor must reproduce them.
+    // The schedule covers every kind, both Busy bounds, an Unknown
+    // name and a Fenced channel.
+    const std::string dir = freshDir("mega_pinned");
+    MegaFleetConfig cfg = smallConfig(dir, 2);
+    cfg.channels = 2000;
+    cfg.probesPerTick = 64;
+    cfg.store.shards = 16;
+    cfg.store.overlayFlushRecords = 64;
+    cfg.requestQueueDepth = 12;
+    cfg.requestChannelDepth = 3;
+    MegaFleet fleet(cfg, Rng(2020));
+    ASSERT_EQ(fleet.enrollAll(), 2000u);
+
+    // Every channel of shard 0 loses its enrollment.
+    std::size_t fencedCh = 0;
+    while (fleet.db().shardOf(MegaFleet::channelId(fencedCh)) != 0)
+        ++fencedCh;
+    ASSERT_TRUE(store::truncateFile(fleet.db().shardPath(0), 10));
+
+    uint64_t id = 100;
+    std::size_t answered = 0;
+    auto send = [&](service::RequestKind kind, const std::string &ch) {
+        service::ServiceRequest rq;
+        rq.id = id++;
+        rq.kind = kind;
+        rq.channel = ch;
+        fleet.submit(rq);
+    };
+    std::size_t fencedAnswers = 0;
+    auto tick = [&] {
+        fleet.tick();
+        for (const service::ServiceResponse &r : fleet.drainResponses()) {
+            ++answered;
+            if (r.status == service::ResponseStatus::Fenced)
+                ++fencedAnswers;
+        }
+    };
+    using service::RequestKind;
+    const std::string fenced = MegaFleet::channelId(fencedCh);
+    send(RequestKind::Verify, "ch1");
+    send(RequestKind::Verify, fenced); // races the fence
+    send(RequestKind::QuarantineStatus, "ch2");
+    send(RequestKind::FleetSummary, "");
+    send(RequestKind::Verify, "ch007"); // Unknown
+    tick();
+    send(RequestKind::Reenroll, "ch3");
+    send(RequestKind::Verify, fenced); // Fenced at arrival
+    for (int k = 0; k < 5; ++k)
+        send(RequestKind::Verify, "ch4"); // per-channel Busy
+    send(RequestKind::FleetSummary, "");
+    tick();
+    for (int k = 0; k < 16; ++k) // global Busy
+        send(RequestKind::QuarantineStatus,
+             MegaFleet::channelId(10 + k % 5));
+    tick();
+    send(RequestKind::Reenroll, fenced);
+    send(RequestKind::Verify, fenced);
+    send(RequestKind::Verify, "x"); // Unknown
+    for (int t = 0; t < 8 && fleet.pendingRequests() > 0; ++t)
+        tick();
+
+    EXPECT_EQ(fleet.pendingRequests(), 0u);
+    EXPECT_EQ(answered, fleet.serviceStats().submitted);
+    EXPECT_GT(fleet.serviceStats().rejectedBusy, 0u);
+    EXPECT_EQ(fleet.serviceStats().rejectedUnknown, 2u);
+    EXPECT_GE(fencedAnswers, 2u);
+    EXPECT_EQ(fleet.responseDigest(), 8179991149398001361ULL);
+    EXPECT_EQ(fleet.report().verdictDigest, 5214950149944285160ULL);
+}
+
 } // namespace
 } // namespace divot

@@ -5,16 +5,21 @@
  * reactor (immediate kinds at arrival, Verify on its channel's next
  * verdict, FleetSummary on fusion), the Verify priority boost, framed
  * stream replay, and serial-vs-pooled bit identity of the response
- * digest and the telemetry export.
+ * digest and the telemetry export. MegaFleet answers the same
+ * protocol through the same RequestLedger, so its admission bounds and
+ * the cross-front-end response shape are checked here too.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
 #include "fleet/channel_scheduler.hh"
+#include "fleet/megafleet.hh"
 #include "service/fleet_service.hh"
+#include "store/codec.hh"
 #include "store/enrollment_db.hh"
 #include "store/io.hh"
 
@@ -359,6 +364,71 @@ TEST(FleetService, SerialVsPooledDigestAndExportAreBitIdentical)
     EXPECT_EQ(serial.second, pooled.second);
 }
 
+TEST(FleetService, PinnedMixedScheduleDigestAndExport)
+{
+    // Cross-build equality evidence: the literals below were taken
+    // from the request front end before it moved onto the shared
+    // RequestLedger, and every later refactor must reproduce them.
+    // The schedule covers every kind, both Busy bounds, an Unknown
+    // name and a Fenced channel.
+    FleetConfig cfg;
+    cfg.instruments = 1;
+    cfg.policy = SchedulerPolicy::RiskWeighted;
+    cfg.threads = 1;
+    cfg.requestQueueDepth = 8;
+    cfg.requestChannelDepth = 3;
+    ChannelScheduler fleet(cfg, Rng(2020));
+    for (std::size_t c = 0; c < 3; ++c)
+        fleet.addChannel(quickChannel(c));
+    fleet.calibrateAll();
+    const std::string dir = freshDbDir("svc_pinned");
+    store::EnrollmentDb db(dbConfig(dir));
+    ASSERT_TRUE(db.open());
+    db.attachTelemetry(&fleet.telemetry());
+    fleet.attachStore(&db, 1); // evict everything unpinned
+    FleetService svc(fleet);
+
+    uint64_t id = 100;
+    auto send = [&](RequestKind kind, const std::string &channel) {
+        svc.submit(makeRequest(id++, kind, channel));
+    };
+    svc.tick();
+    ASSERT_TRUE(db.erase("wire2"));
+    send(RequestKind::Verify, "wire0");
+    send(RequestKind::Verify, "wire2"); // races the fence
+    send(RequestKind::QuarantineStatus, "wire1");
+    send(RequestKind::FleetSummary, "");
+    send(RequestKind::Verify, "ghost"); // Unknown
+    svc.tick();
+    send(RequestKind::Reenroll, "wire1");
+    send(RequestKind::Verify, "wire2"); // Fenced at arrival
+    for (int k = 0; k < 5; ++k)
+        send(RequestKind::Verify, "wire0"); // per-channel Busy
+    send(RequestKind::FleetSummary, "");
+    svc.tick();
+    for (int k = 0; k < 10; ++k) // global Busy
+        send(RequestKind::QuarantineStatus,
+             "wire" + std::to_string(k % 3));
+    svc.tick();
+    send(RequestKind::Reenroll, "wire2");
+    send(RequestKind::Verify, "wire2");
+    for (int t = 0; t < 6 && svc.pendingRequests() > 0; ++t)
+        svc.tick();
+
+    EXPECT_EQ(svc.pendingRequests(), 0u);
+    EXPECT_EQ(svc.stats().responses, svc.stats().submitted);
+    EXPECT_GT(svc.stats().rejectedBusy, 0u);
+    EXPECT_EQ(svc.stats().rejectedUnknown, 1u);
+    std::size_t fencedAnswers = 0;
+    for (const ServiceResponse &r : svc.drainResponses())
+        fencedAnswers += r.status == ResponseStatus::Fenced ? 1 : 0;
+    EXPECT_EQ(fencedAnswers, 2u);
+    const std::string json = fleet.telemetry().exportJson();
+    EXPECT_EQ(svc.responseDigest(), 17865031556130104350ULL);
+    EXPECT_EQ(store::fnv1a(json.data(), json.size()),
+              10833335567163392816ULL);
+}
+
 TEST(FleetService, TelemetryCountsRequestsByKindAndStatus)
 {
     ChannelScheduler fleet = makeFleet(2, 2);
@@ -375,6 +445,107 @@ TEST(FleetService, TelemetryCountsRequestsByKindAndStatus)
     EXPECT_EQ(reg.counterValue("service.rejected"), 1u);
     EXPECT_EQ(reg.counterValue("service.responses.ok"), 2u);
     EXPECT_EQ(reg.counterValue("service.responses.unknown"), 1u);
+}
+
+/** A small MegaFleet over a fresh store (fast-sweep scale). */
+MegaFleetConfig
+megaConfig(const char *name)
+{
+    MegaFleetConfig cfg;
+    cfg.channels = 64;
+    cfg.fingerprintBins = 8;
+    cfg.probesPerTick = 8;
+    cfg.threads = 1;
+    cfg.store = dbConfig(freshDbDir(name));
+    return cfg;
+}
+
+TEST(MegaFleetAdmission, BoundsAndUnknownNamesAnswerExactlyOnce)
+{
+    MegaFleetConfig cfg = megaConfig("mega_admission");
+    cfg.requestQueueDepth = 6;
+    cfg.requestChannelDepth = 2;
+    MegaFleet fleet(cfg, Rng(9));
+    ASSERT_EQ(fleet.enrollAll(), 64u);
+
+    uint64_t id = 1;
+    auto send = [&](RequestKind kind, const std::string &channel) {
+        return fleet.submit(makeRequest(id++, kind, channel));
+    };
+    // Per-channel bound: the third Verify on ch5 bounces.
+    EXPECT_TRUE(send(RequestKind::Verify, "ch5"));
+    EXPECT_TRUE(send(RequestKind::Verify, "ch5"));
+    EXPECT_FALSE(send(RequestKind::Verify, "ch5"));
+    // Names outside the canonical "ch<i>" space, i < channels.
+    EXPECT_FALSE(send(RequestKind::Verify, "ch007"));
+    EXPECT_FALSE(send(RequestKind::Verify, "ch64"));
+    EXPECT_FALSE(send(RequestKind::QuarantineStatus, "x"));
+    // Global bound: six in flight, the seventh bounces.
+    for (const char *ch : {"ch10", "ch11", "ch12", "ch13"})
+        EXPECT_TRUE(send(RequestKind::Verify, ch));
+    EXPECT_FALSE(send(RequestKind::Verify, "ch14"));
+
+    const service::ServiceStats &stats = fleet.serviceStats();
+    EXPECT_EQ(stats.submitted, 11u);
+    EXPECT_EQ(stats.admitted, 6u);
+    EXPECT_EQ(stats.rejectedBusy, 2u);
+    EXPECT_EQ(stats.rejectedUnknown, 3u);
+    EXPECT_EQ(fleet.pendingRequests(), 6u);
+
+    std::vector<ServiceResponse> got = fleet.drainResponses();
+    ASSERT_EQ(got.size(), 5u);
+    const ResponseStatus rejected[] = {
+        ResponseStatus::Busy, ResponseStatus::Unknown,
+        ResponseStatus::Unknown, ResponseStatus::Unknown,
+        ResponseStatus::Busy};
+    for (std::size_t i = 0; i < got.size(); ++i)
+        EXPECT_EQ(got[i].status, rejected[i]) << "response " << i;
+
+    for (int t = 0; t < 4 && fleet.pendingRequests() > 0; ++t) {
+        fleet.tick();
+        const std::vector<ServiceResponse> more = fleet.drainResponses();
+        got.insert(got.end(), more.begin(), more.end());
+    }
+    EXPECT_EQ(fleet.pendingRequests(), 0u);
+    std::map<uint64_t, int> answers;
+    for (const ServiceResponse &r : got)
+        ++answers[r.id];
+    ASSERT_EQ(answers.size(), 11u);
+    for (const auto &entry : answers)
+        EXPECT_EQ(entry.second, 1) << "request " << entry.first;
+
+    // Both front ends report through the one service.* family.
+    const Registry &reg = fleet.telemetry().registry();
+    EXPECT_EQ(reg.counterValue("service.requests.verify"), 10u);
+    EXPECT_EQ(reg.counterValue("service.admitted"), 6u);
+    EXPECT_EQ(reg.counterValue("service.rejected"), 5u);
+    EXPECT_EQ(reg.counterValue("service.responses.ok"), 6u);
+    EXPECT_EQ(reg.counterValue("service.responses.unknown"), 3u);
+}
+
+TEST(FrontEnds, FleetSummaryEchoesItsChannelOnBothFrontEnds)
+{
+    const ServiceRequest summary =
+        makeRequest(7, RequestKind::FleetSummary, "ops-console");
+
+    ChannelScheduler bus = makeFleet(2, 1);
+    FleetService svc(bus);
+    ASSERT_TRUE(svc.submit(summary));
+    svc.tick();
+    const std::vector<ServiceResponse> a = svc.drainResponses();
+
+    MegaFleet mega(megaConfig("mega_summary_echo"), Rng(9));
+    ASSERT_EQ(mega.enrollAll(), 64u);
+    ASSERT_TRUE(mega.submit(summary));
+    mega.tick();
+    const std::vector<ServiceResponse> b = mega.drainResponses();
+
+    ASSERT_EQ(a.size(), 1u);
+    ASSERT_EQ(b.size(), 1u);
+    EXPECT_EQ(a[0].status, ResponseStatus::Ok);
+    EXPECT_EQ(b[0].status, ResponseStatus::Ok);
+    EXPECT_EQ(a[0].channel, "ops-console");
+    EXPECT_EQ(b[0].channel, "ops-console");
 }
 
 } // namespace
