@@ -430,15 +430,16 @@ MegaFleet::tick()
             batch.push_back(i);
     }
 
-    // --- Hydrate: group by shard so each shard image is decoded at
-    // most once per tick (and, with the store's decoded-image cache,
-    // usually zero times). Lane k walks shards s ≡ k (mod lanes) in
-    // ascending order on its own pool thread — each cache lane is
-    // touched by exactly one thread, so every admission and eviction
-    // decision is thread-count-independent — and stages its outcomes;
-    // the serial merge below applies them in ascending shard order,
-    // reproducing the K=1 effect order (and therefore the fuseScores
-    // operand order and the digest) exactly. ------------------------
+    // --- Hydrate: group by shard so each shard's index is read at
+    // most once per tick, then only the batch's record frames (or
+    // nothing at all when the store's decoded-image cache holds the
+    // shard). Lane k walks shards s ≡ k (mod lanes) in ascending
+    // order on its own pool thread — each cache lane is touched by
+    // exactly one thread, so every cache decision is
+    // thread-count-independent — and stages its outcomes; the serial
+    // merge below applies them in ascending shard order, reproducing
+    // the K=1 effect order (and therefore the fuseScores operand
+    // order and the digest) exactly. ----------------------------------
     std::map<unsigned, std::vector<std::size_t>> byShard;
     for (std::size_t i : batch)
         byShard[db_->shardOf(channelId(i))].push_back(i);
@@ -454,8 +455,8 @@ MegaFleet::tick()
     {
         std::vector<Hydrated> live;       //!< batch order within shard
         std::vector<std::size_t> fenced;  //!< channels to demote
-        std::size_t transientBytes = 0;   //!< decoded bytes NOT served
-                                          //!< from the resident cache
+        std::size_t transientBytes = 0;   //!< decoded bytes read from
+                                          //!< disk, not the cache
     };
     std::vector<ShardStage> stages(shardsVec.size());
     pool_->parallelFor(lanes_, [&](std::size_t lane) {
@@ -464,25 +465,27 @@ MegaFleet::tick()
             if (shard % lanes_ != lane)
                 continue;
             ShardStage &stage = stages[e];
+            const std::vector<std::size_t> &channels = shardsVec[e].second;
+            std::vector<std::string> ids;
+            ids.reserve(channels.size());
+            for (std::size_t i : channels)
+                ids.push_back(channelId(i));
             bool fromCache = false;
-            const auto view = db_->shardView(shard, &fromCache);
-            if (view != nullptr && !fromCache)
-                stage.transientBytes = view->bytes;
-            for (std::size_t i : shardsVec[e].second) {
-                bool ok = false;
-                if (view != nullptr) {
-                    const auto it = view->records.find(channelId(i));
-                    if (it != view->records.end() &&
-                        (it->second.flags &
-                         store::kRecordPendingReenroll) == 0) {
-                        stage.live.push_back(Hydrated{i, it->second});
-                        ok = true;
-                    }
-                }
+            std::vector<store::RecordRead> reads =
+                db_->readRecords(shard, ids, &fromCache);
+            for (std::size_t k = 0; k < channels.size(); ++k) {
+                store::RecordRead &read = reads[k];
+                const bool ok = read.status == store::DbGetStatus::Ok;
+                if (ok && !fromCache)
+                    stage.transientBytes += read.record.residentBytes();
                 // Missing or damaged in every bank: fence the channel
                 // instead of authenticating junk.
-                if (!ok)
-                    stage.fenced.push_back(i);
+                if (!ok || (read.record.flags &
+                            store::kRecordPendingReenroll) != 0)
+                    stage.fenced.push_back(channels[k]);
+                else
+                    stage.live.push_back(
+                        Hydrated{channels[k], std::move(read.record)});
             }
         }
     });
@@ -508,9 +511,10 @@ MegaFleet::tick()
             // verdict against a damaged record.
             answerFenced(i);
         }
-        // Peak accounting charges only *transient* decode bytes: a
-        // cache-resident view is bounded by shardCacheBytes, which is
-        // budgeted separately from the hydration budget.
+        // Peak accounting charges only *transient* decode bytes — the
+        // records this shard's point read decoded: a cache-resident
+        // view is bounded by shardCacheBytes, which is budgeted
+        // separately from the hydration budget.
         report_.peakResidentBytes =
             std::max(report_.peakResidentBytes,
                      residentBytes + stage.transientBytes);

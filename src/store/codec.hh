@@ -2,14 +2,20 @@
  * @file
  * Byte codec shared by every enrollment persistence format.
  *
- * Three formats read through this module:
+ * Four formats read through this module:
  *
  *  - v1: legacy single-copy EPROM image (read-only compatibility).
- *  - v2: the dual-bank EnrollmentStore image (PR 2).
+ *  - v2: the dual-bank single-file EnrollmentStore image.
  *  - v3: EnrollmentDb shard images — the same dual-bank + per-record
  *    CRC discipline, with a richer record body (nominal response,
  *    lifecycle flags, generation counter) so a fleet channel can be
- *    rehydrated without re-deriving anything.
+ *    rehydrated without re-deriving anything (read-only compatibility).
+ *  - v4: the v3 image plus a per-bank record index, the only shard
+ *    format written. Bank placement and record frames are byte-for-byte v3;
+ *    each payload appends, after its `count` record frames, a sorted
+ *    `(id, frameOffset, frameLen)` index and a fixed 24-byte locator
+ *    `[indexOffset][indexLen][fnv1a(index)]`, so a reader fetches the
+ *    header, the locator, the index and then only the frames it wants.
  *
  * The dual-bank frame is bootloader-style: bank A is framed from the
  * front of the image (`[magicver][len][crc][payload]`), bank B from
@@ -26,6 +32,7 @@
 #define DIVOT_STORE_CODEC_HH
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -93,9 +100,27 @@ struct EnrollmentRecord
     std::size_t residentBytes() const;
 };
 
+/** Outcome of a point lookup. */
+enum class DbGetStatus
+{
+    Ok,            //!< record returned
+    Missing,       //!< provably not in the database
+    Unrecoverable, //!< frames damaged in every bank — channel must
+                   //!< re-enroll
+};
+
+/** One id's outcome of a batch point read. */
+struct RecordRead
+{
+    DbGetStatus status = DbGetStatus::Missing;
+    EnrollmentRecord record; //!< valid when status == Ok
+};
+
 /** Serialize / parse one record body (no CRC frame). */
 std::vector<char> encodeRecordBody(const EnrollmentRecord &record);
 bool decodeRecordBody(const std::vector<char> &body,
+                      EnrollmentRecord &out);
+bool decodeRecordBody(const char *data, std::size_t n,
                       EnrollmentRecord &out);
 
 /** Where damage landed, for operator-facing reports. */
@@ -123,16 +148,18 @@ struct ShardParseReport
     std::string detail;     //!< human-readable cause
 };
 
-/** Build a v3 dual-bank shard image from a sorted record map. */
+/** Build a v4 dual-bank shard image from a sorted record map. */
 std::vector<char>
 buildShardImage(const std::map<std::string, EnrollmentRecord> &records);
 
 /**
- * Parse a v3 shard image: bank A strict, bank B strict, then
- * per-record salvage across both banks. Salvage recovers every record
- * whose CRC frame verifies in either bank; frames damaged in both are
- * reported in `unrecoverable` (by payload index/offset, with the id
- * when the body is still parseable).
+ * Parse a v3 or v4 shard image: bank A strict, bank B strict, then
+ * per-record salvage across both banks. Salvage walks each bank's
+ * frames and recovers every record whose CRC frame verifies in either
+ * bank; frames damaged in both are reported in `unrecoverable` (by
+ * payload index/offset, with the id when the body is still
+ * parseable). The walk cannot resynchronize past a frame whose length
+ * field is damaged; on v4 it ends at the index.
  *
  * @return report; `out` holds the recovered records (empty on ok=false)
  */
@@ -141,15 +168,64 @@ parseShardImage(const std::vector<char> &bytes,
                 std::map<std::string, EnrollmentRecord> &out);
 
 /**
- * Scan a shard image for a single record without materializing the
- * rest of the shard — the hydration hot path. Tries bank A's frame
- * walk first, then bank B's.
+ * Look a single record up by walking the frames of both banks of a
+ * whole shard image, bank A's first — the point read's rule for
+ * images without a usable index.
  *
  * @return 1 = found (out filled), 0 = provably absent, -1 = the
  *         record's frames are damaged in every readable bank
  */
 int findShardRecord(const std::vector<char> &bytes,
                     const std::string &id, EnrollmentRecord &out);
+
+/**
+ * Random access to the bytes of one shard image: an in-memory buffer
+ * or a file read with pread.
+ */
+struct ImageReader
+{
+    uint64_t size = 0; //!< image length, bytes
+    /** Copy `n` bytes at `offset` into `out`; false on a short read. */
+    std::function<bool(uint64_t offset, std::size_t n, char *out)> read;
+
+    /** Reader over an in-memory image (which must outlive it). */
+    static ImageReader of(const std::vector<char> &bytes);
+};
+
+/**
+ * Point-read a batch of records from one shard image. On v4 it reads
+ * bank A's header, locator and index (bank B's when A's index fails
+ * its CRC), then only the wanted frames. Per id:
+ *
+ *  - `Ok` once the record's frame verifies (CRC, decode, and decoded
+ *    id equal to the requested id) — bank A's frame, else bank B's
+ *    mirrored frame at the same payload offset;
+ *  - `Unrecoverable` when the index lists the id but both frames fail;
+ *  - `Missing` when a verified index does not list it.
+ *
+ * With no verified index (a v1–v3 image, or both indexes damaged) it
+ * reads the whole image and decides each id as findShardRecord does
+ * (one walk per bank serves the whole batch). A record unreachable by
+ * the salvage walk (both banks lost framing in front of it) can still
+ * be served here: the index locates the frame directly.
+ *
+ * @return one entry per id, in order
+ */
+std::vector<RecordRead>
+readShardRecords(const ImageReader &image,
+                 const std::vector<std::string> &ids);
+
+/**
+ * Every id listed by a v4 image's index (bank A's, else bank B's),
+ * without decoding any record body. Ids of records whose frames are
+ * damaged in both banks are listed too: they are still in the image,
+ * and a point read answers `Unrecoverable` for them.
+ *
+ * @return false when no index verifies (v1–v3 image or both indexes
+ *         damaged): the caller must parse the whole image
+ */
+bool readShardIndexIds(const ImageReader &image,
+                       std::vector<std::string> &ids);
 
 /**
  * @name Legacy readers — the only v1/v2 parsers; the EnrollmentStore
@@ -186,8 +262,10 @@ int parseLegacyImage(const std::vector<char> &bytes,
 constexpr uint32_t kStoreMagic = 0x44495654; // "DIVT"
 constexpr uint32_t kLegacyV1 = 1;  //!< single-copy EPROM image
 constexpr uint32_t kLegacyV2 = 2;  //!< dual-bank EnrollmentStore image
-constexpr uint32_t kShardVersion = 3;
+constexpr uint32_t kShardVersionV3 = 3; //!< shard image, no index
+constexpr uint32_t kShardVersion = 4;   //!< shard image with index
 constexpr std::size_t kBankHeaderSize = 24; // magic/ver + len + crc
+constexpr std::size_t kIndexLocatorSize = 24; // offset + len + crc
 
 /**
  * 64-bit stable hash of a channel id (FNV-1a): shard selection must

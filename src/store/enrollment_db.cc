@@ -63,6 +63,18 @@ imageUnreadable(const ShardParseReport &report, std::size_t recovered)
            report.unrecoverable.empty();
 }
 
+/** Positional-read access to a shard file (which must outlive it). */
+ImageReader
+readerOf(const ReadOnlyFile &file)
+{
+    ImageReader image;
+    image.size = file.size();
+    image.read = [&file](uint64_t offset, std::size_t n, char *out) {
+        return file.readAt(offset, n, out);
+    };
+    return image;
+}
+
 } // namespace
 
 EnrollmentDb::EnrollmentDb(EnrollmentDbConfig config)
@@ -565,36 +577,56 @@ EnrollmentDb::get(const std::string &id, EnrollmentRecord &out)
         return DbGetStatus::Ok;
     }
 
-    if (cache_ != nullptr) {
-        const auto view = cache_->acquire(
-            shard,
-            [this, shard](ShardView &v) {
-                return loadShardView(shard, v);
-            });
-        if (view == nullptr)
-            return DbGetStatus::Missing; // no image on disk
-        const auto vit = view->records.find(id);
-        if (vit != view->records.end()) {
-            out = vit->second;
-            return DbGetStatus::Ok;
-        }
-        if (view->clean)
-            return DbGetStatus::Missing; // provable: whole image read
-        // Damaged image and the id isn't among the salvaged records:
-        // only the targeted frame scan can distinguish "never written"
-        // from "written but damaged in every bank". Fall through.
-    }
+    RecordRead read = std::move(readRecords(shard, {id}).front());
+    if (read.status == DbGetStatus::Ok)
+        out = std::move(read.record);
+    else if (read.status == DbGetStatus::Unrecoverable)
+        tmGetDamaged_.add();
+    return read.status;
+}
 
-    std::vector<char> bytes;
-    if (!readFile(shardPath(shard), bytes) || bytes.empty())
-        return DbGetStatus::Missing;
-    const int found = findShardRecord(bytes, id, out);
-    if (found == 1)
-        return DbGetStatus::Ok;
-    if (found == 0)
-        return DbGetStatus::Missing;
-    tmGetDamaged_.add();
-    return DbGetStatus::Unrecoverable;
+std::vector<RecordRead>
+EnrollmentDb::readRecords(unsigned shard,
+                          const std::vector<std::string> &ids,
+                          bool *from_cache)
+{
+    std::vector<RecordRead> reads(ids.size());
+    // Ids the resident view cannot settle, by position in `ids`.
+    std::vector<std::size_t> pending;
+    const std::shared_ptr<const ShardView> view =
+        cache_ != nullptr ? cache_->peek(shard) : nullptr;
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+        if (view == nullptr) {
+            pending.push_back(i);
+            continue;
+        }
+        const auto vit = view->records.find(ids[i]);
+        if (vit != view->records.end()) {
+            reads[i].status = DbGetStatus::Ok;
+            reads[i].record = vit->second;
+        } else if (!view->clean) {
+            // A damaged view cannot tell "never written" from
+            // "written but damaged in every bank": ask the image.
+            pending.push_back(i);
+        }
+    }
+    if (from_cache != nullptr)
+        *from_cache = pending.empty();
+    if (pending.empty())
+        return reads;
+
+    const ReadOnlyFile file(shardPath(shard));
+    if (!file.isOpen() || file.size() == 0)
+        return reads; // no image on disk: Missing
+    const ImageReader image = readerOf(file);
+    std::vector<std::string> wanted;
+    wanted.reserve(pending.size());
+    for (const std::size_t i : pending)
+        wanted.push_back(ids[i]);
+    std::vector<RecordRead> fromDisk = readShardRecords(image, wanted);
+    for (std::size_t k = 0; k < pending.size(); ++k)
+        reads[pending[k]] = std::move(fromDisk[k]);
+    return reads;
 }
 
 bool
@@ -745,12 +777,21 @@ EnrollmentDb::ids()
 {
     std::set<std::string> all;
     for (unsigned s = 0; s < config_.shards; ++s) {
-        std::vector<char> bytes;
-        if (readFile(shardPath(s), bytes) && !bytes.empty()) {
-            std::map<std::string, EnrollmentRecord> records;
-            parseShardImage(bytes, records);
-            for (const auto &[id, record] : records)
-                all.insert(id);
+        const ReadOnlyFile file(shardPath(s));
+        if (file.isOpen() && file.size() > 0) {
+            const ImageReader image = readerOf(file);
+            std::vector<std::string> indexed;
+            if (readShardIndexIds(image, indexed)) {
+                all.insert(indexed.begin(), indexed.end());
+            } else {
+                // v3 image or both indexes damaged: parse it whole.
+                std::vector<char> bytes(image.size);
+                std::map<std::string, EnrollmentRecord> records;
+                if (image.read(0, bytes.size(), bytes.data()))
+                    parseShardImage(bytes, records);
+                for (const auto &[id, record] : records)
+                    all.insert(id);
+            }
         }
         for (const auto &[id, pending] : overlays_[s]) {
             if (pending.has_value())

@@ -20,9 +20,10 @@
  * A crash at any point leaves either the old state or the new state
  * reachable: un-flushed mutations replay from the journal on the next
  * open; a torn shard rewrite leaves the abandoned temp file beside an
- * intact image. Memory stays bounded — overlays never exceed the
- * flush threshold and reads (`get`) scan the shard file for one
- * record instead of materializing the shard.
+ * intact image. Memory and read IO stay proportional to the records
+ * touched — overlays never exceed the flush threshold, and reads
+ * (`get`, `readRecords`) fetch a v4 image's header, index and only
+ * the wanted record frames instead of materializing the shard.
  *
  * Storage faults are injected through the same deterministic
  * `FaultInjector` the instruments use: each mutating operation
@@ -81,15 +82,6 @@ struct EnrollmentDbConfig
      * image, and the still-intact journal replays the difference.
      */
     bool journalGroupCommit = false;
-};
-
-/** Outcome of a point lookup. */
-enum class DbGetStatus
-{
-    Ok,            //!< record returned
-    Missing,       //!< provably not in the database
-    Unrecoverable, //!< frames damaged in every bank — channel must
-                   //!< re-enroll
 };
 
 /** Outcome of scrubbing one shard. */
@@ -154,24 +146,39 @@ class EnrollmentDb
     bool setFlags(const std::string &id, uint64_t flags);
 
     /**
-     * Point lookup: overlay first, then the decoded-image cache when
-     * one is configured (a miss in a *clean* cached view is a provable
-     * Missing; a miss in a damaged view falls back to the targeted
-     * frame scan so Missing vs Unrecoverable stays exact), else a
-     * targeted frame scan of the shard image (no full-shard
-     * materialization).
+     * Point lookup: the overlay first, then `readRecords` on the
+     * owning shard's image layer.
      */
     DbGetStatus get(const std::string &id, EnrollmentRecord &out);
 
     /**
-     * Whole-shard read of the *image layer* (pending overlays are not
-     * consulted — the mega-fleet hydrates from durable state only,
-     * matching its original per-record image scan). Served from the
-     * cache when one is configured, decoded transiently otherwise.
+     * Batch point read of one shard's *image layer* (pending overlays
+     * are not consulted — the mega-fleet hydrates from durable state
+     * only). A resident decoded view serves the batch when there is
+     * one (a miss in a *clean* view is a provable Missing); every id
+     * it cannot settle is read from disk with `readShardRecords`
+     * (header, index, then only the wanted frames, bank B's frame when
+     * bank A's fails). Never loads or admits a whole shard: the cache
+     * fills only by write-through. Safe on a lane thread that owns
+     * `shard`'s cache lane (see shard_cache.hh).
+     *
+     * @param from_cache optionally reports whether the resident view
+     *        settled every id (no disk read)
+     * @return one entry per id, in order; all Missing when the shard
+     *         has no image on disk
+     */
+    std::vector<RecordRead>
+    readRecords(unsigned shard, const std::vector<std::string> &ids,
+                bool *from_cache = nullptr);
+
+    /**
+     * Whole-shard decoded read of the *image layer*, for diagnostics
+     * and tests. Served from the cache when one is configured — and,
+     * unlike the point-read path, loaded and possibly admitted on a
+     * miss — decoded transiently otherwise.
      *
      * @param from_cache optionally reports whether the view was
-     *        resident (callers charge transient decode bytes against
-     *        their memory budget only when it was not)
+     *        resident
      * @return null when the shard has no image on disk
      */
     std::shared_ptr<const ShardView> shardView(unsigned shard,
@@ -211,13 +218,19 @@ class EnrollmentDb
 
     /**
      * Import every record of a legacy v1/v2 EnrollmentStore image (or
-     * a v3 shard image) through the normal `put` path.
+     * a v3/v4 shard image) through the normal `put` path.
      *
      * @return records imported (0 when the bytes parse as nothing)
      */
     uint64_t importImage(const std::vector<char> &bytes);
 
-    /** @return all ids currently in the database (disk + overlays). */
+    /**
+     * @return all ids currently in the database (disk + overlays). A v4
+     *         shard contributes its index (including records damaged
+     *         in both banks, which `get` reports Unrecoverable); a v3
+     *         image, or one whose two indexes are damaged, is parsed
+     *         whole and contributes its recovered records.
+     */
     std::vector<std::string> ids();
 
     /** Route an id to its shard index. */

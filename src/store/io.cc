@@ -3,7 +3,6 @@
 #include <cerrno>
 #include <cstdio>
 #include <fstream>
-#include <iterator>
 
 #include <fcntl.h>
 #include <sys/stat.h>
@@ -11,16 +10,48 @@
 
 namespace divot::store {
 
+ReadOnlyFile::ReadOnlyFile(const std::string &path)
+    : fd_(::open(path.c_str(), O_RDONLY))
+{
+    struct stat st;
+    if (fd_ >= 0 && ::fstat(fd_, &st) == 0)
+        size_ = static_cast<uint64_t>(st.st_size);
+}
+
+ReadOnlyFile::~ReadOnlyFile()
+{
+    if (fd_ >= 0)
+        ::close(fd_);
+}
+
+bool
+ReadOnlyFile::readAt(uint64_t offset, std::size_t n, char *out) const
+{
+    std::size_t done = 0;
+    while (done < n) {
+        const ssize_t got = ::pread(fd_, out + done, n - done,
+                                    static_cast<off_t>(offset + done));
+        if (got < 0 && errno == EINTR)
+            continue;
+        if (got <= 0)
+            return false;
+        done += static_cast<std::size_t>(got);
+    }
+    return true;
+}
+
 bool
 readFile(const std::string &path, std::vector<char> &out)
 {
     out.clear();
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
+    const ReadOnlyFile file(path);
+    if (!file.isOpen())
         return false;
-    out.assign(std::istreambuf_iterator<char>(in),
-               std::istreambuf_iterator<char>());
-    return true;
+    out.resize(static_cast<std::size_t>(file.size()));
+    if (file.readAt(0, out.size(), out.data()))
+        return true;
+    out.clear();
+    return false;
 }
 
 namespace {

@@ -16,7 +16,9 @@
  *    checkpoint — but the journal's CRC framing makes that loss look
  *    exactly like a torn append, which replay discards as "op never
  *    happened"; corruption is never loaded either way.
- *  - readFile: whole-file slurp.
+ *  - readFile: whole-file slurp; ReadOnlyFile: positional reads
+ *    (pread) that keep no file offset, for the record-granular read
+ *    path.
  *
  * Each write-side primitive takes an optional WriteFault describing a
  * simulated storage failure (torn write at a byte offset, power cut
@@ -61,9 +63,42 @@ struct WriteFault
 /**
  * Slurp a file.
  *
- * @return false when the file cannot be opened (out is cleared)
+ * @return false when the file cannot be opened or read (out is
+ *         cleared)
  */
 bool readFile(const std::string &path, std::vector<char> &out);
+
+/**
+ * Read-only file opened for positional reads: open, pread, close.
+ * It keeps no file offset, so readers on different threads share no
+ * descriptor state.
+ */
+class ReadOnlyFile
+{
+  public:
+    explicit ReadOnlyFile(const std::string &path);
+    ~ReadOnlyFile();
+    ReadOnlyFile(const ReadOnlyFile &) = delete;
+    ReadOnlyFile &operator=(const ReadOnlyFile &) = delete;
+
+    /** @return true when the file opened. */
+    bool isOpen() const { return fd_ >= 0; }
+
+    /** @return file size at open, bytes (0 when not open). */
+    uint64_t size() const { return size_; }
+
+    /**
+     * Read exactly `n` bytes at `offset` into `out`, retrying short
+     * and interrupted reads.
+     *
+     * @return false on error or end of file
+     */
+    bool readAt(uint64_t offset, std::size_t n, char *out) const;
+
+  private:
+    int fd_ = -1;
+    uint64_t size_ = 0;
+};
 
 /**
  * Atomically replace `path` with `bytes`: writes `path + ".tmp"`,

@@ -92,8 +92,11 @@ ShardImageCache::peek(unsigned shard)
 {
     Lane &lane = laneOf(shard);
     Entry &entry = entries_[shard];
-    if (entry.view == nullptr)
+    if (entry.view == nullptr) {
+        ++lane.stats.misses;
+        tmMisses_.add(1);
         return nullptr;
+    }
     if (entry.frequency < kFrequencyCap)
         ++entry.frequency;
     lane.lru.splice(lane.lru.begin(), lane.lru, entry.lruIt);

@@ -3,14 +3,16 @@
  * ShardImageCache — shard-level hydration cache with admission
  * control.
  *
- * The EnrollmentDb's read path is deliberately frugal: a point lookup
- * scans one shard file for one CRC frame, and the mega-fleet tick
- * re-reads and re-scans each shard image it touches. That is the
- * right shape when memory is the scarce resource, but at 10^5..10^6
- * channels the same few hundred shard images are decoded over and
- * over — the parse, not the physics, dominates the tick. This cache
- * keeps whole *decoded* shard images (the post-CRC-salvage record
- * map) resident under a byte budget:
+ * The EnrollmentDb's read path is record-granular: a point read of a
+ * v4 shard image fetches its header, index and only the wanted record
+ * frames (about 1.4 KB per probe at 100k channels / 512 shards). This
+ * cache keeps whole *decoded* shard images (the post-CRC-salvage
+ * record map) resident under a byte budget, so a resident shard
+ * answers with no IO and no decode at all. It never loads on the read
+ * path: `peek` serves what is resident, and entries arrive by
+ * write-through when the db rewrites an image (`update`) — or through
+ * `acquire`, which only the whole-shard diagnostic read
+ * (`EnrollmentDb::shardView`) still calls:
  *
  *  - LRU over shards, byte-budgeted: the cache never holds more than
  *    `budgetBytes` of decoded records, however many shards that is.
@@ -60,14 +62,14 @@ namespace divot::store {
 struct ShardView
 {
     /** Every record recoverable from the image (whole-bank read or
-     *  per-record salvage — the same preference order, bank A first,
-     *  that the targeted frame scan uses). */
+     *  per-record salvage, bank A first — the preference order the
+     *  point read uses too). */
     std::map<std::string, EnrollmentRecord> records;
 
     /** True when the parse saw no damage at all: both banks located
      *  and whole-bank CRC-verified, zero damaged frames. A miss in
      *  `records` of a clean view is a *provable* Missing; a miss in a
-     *  damaged view must fall back to the targeted frame scan to
+     *  damaged view must fall back to a point read of the image to
      *  distinguish Missing from Unrecoverable. */
     bool clean = false;
 
@@ -90,7 +92,8 @@ struct ShardCacheConfig
 struct ShardCacheStats
 {
     uint64_t hits = 0;
-    uint64_t misses = 0;      //!< loader invocations
+    uint64_t misses = 0;      //!< lookups that found nothing
+                              //!< resident (acquire loads, peeks)
     uint64_t admissions = 0;  //!< loaded views admitted
     uint64_t rejections = 0;  //!< loaded views served transiently
                               //!< (victim hotter, or view > budget)
@@ -127,7 +130,8 @@ class ShardImageCache
 
     /**
      * Return `shard`'s resident view, or null without touching disk.
-     * Counts as an access (LRU + frequency) when resident.
+     * Counts as a hit and an access (LRU + frequency) when resident,
+     * as a miss otherwise.
      */
     std::shared_ptr<const ShardView> peek(unsigned shard);
 

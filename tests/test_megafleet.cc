@@ -3,8 +3,9 @@
  * Tests for MegaFleet, the bounded-memory fleet service over the
  * sharded EnrollmentDb: synthetic-channel determinism, thread-count
  * verdict identity (with and without storage faults), crash-reopen
- * enrollment, and the no-junk guarantee when shard images are
- * destroyed under a running fleet.
+ * enrollment, the no-junk guarantee when shard images are destroyed
+ * under a running fleet, and lane/thread invariance of the
+ * record-granular hydration reads over damaged images.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 
 #include "fault/fault.hh"
 #include "fleet/megafleet.hh"
+#include "service/request.hh"
 #include "store/io.hh"
 
 namespace divot {
@@ -229,6 +231,75 @@ TEST(MegaFleet, PinnedMixedScheduleDigests)
     EXPECT_GE(fencedAnswers, 2u);
     EXPECT_EQ(fleet.responseDigest(), 8179991149398001361ULL);
     EXPECT_EQ(fleet.report().verdictDigest, 5214950149944285160ULL);
+}
+
+TEST(MegaFleet, PointReadsAreLaneAndThreadInvariantUnderStorageFaults)
+{
+    // A 1 MiB cache against ~2.5 MB of decoded shards, so hydration
+    // is mostly point reads. One Reenroll per tick lands bit rot and
+    // truncations on live shard images (IO events from 3001 on;
+    // enrollment itself — events 0..3000 — runs clean).
+    constexpr std::size_t kChannels = 3000;
+    constexpr uint64_t kFirstTickEvent = kChannels + 1;
+    FaultPlan plan;
+    plan.storageBitRot(kFirstTickEvent, 24, 6.0)
+        .storageTruncation(kFirstTickEvent + 6, 0.35)
+        .storageTruncation(kFirstTickEvent + 14, 0.6);
+    const FaultInjector injector(plan, Rng(41));
+
+    struct Outcome
+    {
+        uint64_t verdicts = 0;
+        uint64_t responses = 0;
+        uint64_t pending = 0;
+        uint64_t junk = 0; //!< contributing ticks not authenticated
+    };
+    auto drive = [&](unsigned lanes, unsigned threads) {
+        const std::string name = "mega_points_l" + std::to_string(lanes) +
+                                 "_t" + std::to_string(threads);
+        MegaFleetConfig cfg = smallConfig(freshDir(name.c_str()), threads);
+        cfg.channels = kChannels;
+        cfg.fingerprintBins = 32;
+        cfg.probesPerTick = 256;
+        cfg.reactorLanes = lanes;
+        cfg.store.shards = 16;
+        cfg.store.overlayFlushRecords = 64;
+        cfg.store.shardCacheBytes = 1u << 20;
+        MegaFleet fleet(cfg, Rng(77));
+        fleet.attachFaultInjector(&injector);
+        EXPECT_EQ(fleet.enrollAll(), kChannels);
+        Outcome out;
+        for (uint64_t t = 0; t < 24; ++t) {
+            service::ServiceRequest rq;
+            rq.id = t + 1;
+            rq.kind = service::RequestKind::Reenroll;
+            rq.channel = MegaFleet::channelId((t * 389) % kChannels);
+            fleet.submit(rq);
+            const MegaFleetVerdict v = fleet.tick();
+            if (v.contributingWires > 0 && !v.busAuthenticated)
+                ++out.junk;
+            fleet.drainResponses();
+        }
+        out.verdicts = fleet.report().verdictDigest;
+        out.responses = fleet.responseDigest();
+        out.pending = fleet.report().pendingReenroll;
+        return out;
+    };
+
+    const Outcome base = drive(1, 1);
+    EXPECT_EQ(base.junk, 0u);
+    EXPECT_GT(base.pending, 0u); // damage reached the hydration reads
+    for (const unsigned lanes : {1u, 4u, 8u}) {
+        for (const unsigned threads : {1u, 4u}) {
+            const Outcome o = drive(lanes, threads);
+            EXPECT_EQ(o.verdicts, base.verdicts)
+                << lanes << " lanes, " << threads << " threads";
+            EXPECT_EQ(o.responses, base.responses)
+                << lanes << " lanes, " << threads << " threads";
+            EXPECT_EQ(o.pending, base.pending);
+            EXPECT_EQ(o.junk, 0u);
+        }
+    }
 }
 
 } // namespace

@@ -3,14 +3,17 @@
  * Tests for the crash-safe sharded EnrollmentDb: codec roundtrips,
  * dual-bank recovery, write-ahead journal replay, the power-cut
  * matrix (a crash at every commit point leaves either the old or the
- * new state reachable, never junk), scrub repair, and the stable
- * store.* telemetry counters.
+ * new state reachable, never junk), scrub repair, the stable store.*
+ * telemetry counters, and the v4 record index: point reads that agree
+ * with the whole-image parse under corruption, index-only `ids()`,
+ * and v3 images that stay readable until their next rewrite.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -22,6 +25,10 @@
 #include "store/io.hh"
 #include "telemetry/telemetry.hh"
 #include "util/rng.hh"
+
+#ifndef DIVOT_GOLDEN_DIR
+#error "DIVOT_GOLDEN_DIR must point at the checked-in golden directory"
+#endif
 
 namespace divot::store {
 namespace {
@@ -395,7 +402,9 @@ TEST(EnrollmentDbFaults, BitRotRecoversThroughSurvivingBank)
         ASSERT_TRUE(readFile(peek.shardPath(0), pristine));
     }
     FaultPlan plan;
-    plan.storageBitRot(0, 6, 3.0);
+    // Rot exactly one write, the put: the scrub rewrite (IO event 1)
+    // must land clean for the final strict-parse check.
+    plan.storageBitRot(0, 1, 3.0);
     const FaultInjector injector(plan, Rng(11));
     EnrollmentDb db(cfg);
     db.attachFaultInjector(&injector);
@@ -787,6 +796,385 @@ TEST(EnrollmentDb, TelemetryCountersAreStable)
     EXPECT_EQ(value("store.checkpoints"), 1);
     EXPECT_GE(value("store.journal.entries"), 1);
     EXPECT_EQ(value("store.crashes"), 0);
+}
+
+
+// --------------------------------------------------------------------
+// v4 record index
+
+/** Byte range [lo, hi) of `a` and `b` differs somewhere. */
+bool
+rangeDiffers(const std::vector<char> &a, const std::vector<char> &b,
+             std::size_t lo, std::size_t hi)
+{
+    for (std::size_t i = lo; i < hi && i < a.size(); ++i) {
+        if (a[i] != b[i])
+            return true;
+    }
+    return false;
+}
+
+/**
+ * The point read of a v4 image against the whole-image parse, for
+ * every written id and a few never-written ones:
+ *
+ *  - a record the parse recovers is Ok with identical bytes;
+ *  - Ok is only ever the original record under the requested id;
+ *  - a written id is never Missing; a never-written id never Ok;
+ *  - a record the parse names lost is Unrecoverable;
+ *  - the one licensed disagreement: the index may serve a record the
+ *    parse lost because both banks' salvage walks lost framing in
+ *    front of it. Then, in each bank, the bytes that walk depends on
+ *    (both bank headers, the locator, the count and the frames ahead
+ *    of the record) or the record's own frame must have changed.
+ */
+class IndexedReadDifferential
+{
+  public:
+    explicit IndexedReadDifferential(
+        std::map<std::string, EnrollmentRecord> records)
+        : records_(std::move(records)), pristine_(buildShardImage(records_))
+    {
+        payloadLen_ = (pristine_.size() - 2 * kBankHeaderSize) / 2;
+        uint64_t offset = 8; // past the count field
+        for (const auto &[id, rec] : records_) {
+            const uint64_t len = encodeRecordBody(rec).size() + 16;
+            frames_[id] = {offset, len};
+            offset += len;
+            ids_.push_back(id);
+        }
+        ids_.push_back("never.written");
+        ids_.push_back("zz.ghost");
+    }
+
+    const std::vector<char> &pristine() const { return pristine_; }
+
+    /** Check one damaged image; @return true when the parse salvaged. */
+    bool
+    check(const std::vector<char> &bad, const std::string &what)
+    {
+        std::map<std::string, EnrollmentRecord> parsed;
+        const ShardParseReport report = parseShardImage(bad, parsed);
+        std::set<std::string> namedLost;
+        for (const RecordDamage &d : report.unrecoverable)
+            namedLost.insert(d.id);
+        const std::vector<RecordRead> reads =
+            readShardRecords(ImageReader::of(bad), ids_);
+        EXPECT_EQ(reads.size(), ids_.size()) << what;
+        for (std::size_t i = 0; i < ids_.size() && i < reads.size(); ++i) {
+            const std::string &id = ids_[i];
+            const RecordRead &read = reads[i];
+            const auto orig = records_.find(id);
+            const auto got = parsed.find(id);
+            if (orig == records_.end()) {
+                EXPECT_NE(read.status, DbGetStatus::Ok) << what << id;
+                continue;
+            }
+            EXPECT_NE(read.status, DbGetStatus::Missing) << what << id;
+            if (read.status == DbGetStatus::Ok) {
+                EXPECT_EQ(read.record.id, id) << what;
+                EXPECT_TRUE(sameRecord(orig->second, read.record))
+                    << what << id;
+            }
+            if (got != parsed.end()) {
+                EXPECT_EQ(read.status, DbGetStatus::Ok) << what << id;
+                EXPECT_TRUE(sameRecord(got->second, read.record))
+                    << what << id;
+                continue;
+            }
+            if (read.status == DbGetStatus::Ok) {
+                EXPECT_TRUE(walksCannotReach(bad, id)) << what << id;
+            } else if (namedLost.count(id) > 0) {
+                EXPECT_EQ(read.status, DbGetStatus::Unrecoverable)
+                    << what << id;
+            }
+        }
+        return report.salvaged;
+    }
+
+  private:
+    bool
+    walksCannotReach(const std::vector<char> &bad,
+                     const std::string &id) const
+    {
+        const auto [offset, len] = frames_.at(id);
+        const std::size_t size = bad.size();
+        const bool headers =
+            rangeDiffers(bad, pristine_, 0, kBankHeaderSize) ||
+            rangeDiffers(bad, pristine_, size - kBankHeaderSize, size);
+        for (const std::size_t bank :
+             {kBankHeaderSize, kBankHeaderSize + payloadLen_}) {
+            const bool prefix =
+                headers ||
+                rangeDiffers(bad, pristine_, bank, bank + offset + 8) ||
+                rangeDiffers(bad, pristine_,
+                             bank + payloadLen_ - kIndexLocatorSize,
+                             bank + payloadLen_);
+            const bool frame = rangeDiffers(bad, pristine_, bank + offset,
+                                            bank + offset + len);
+            if (!prefix && !frame)
+                return false;
+        }
+        return true;
+    }
+
+    std::map<std::string, EnrollmentRecord> records_;
+    std::vector<char> pristine_;
+    std::size_t payloadLen_ = 0;
+    std::map<std::string, std::pair<uint64_t, uint64_t>> frames_;
+    std::vector<std::string> ids_;
+};
+
+TEST(StoreCodecV4, PointReadAgreesWithParseUnderCorruption)
+{
+    std::map<std::string, EnrollmentRecord> records;
+    std::vector<std::string> written;
+    for (int i = 0; i < 12; ++i) {
+        const std::string id = "dv" + std::string(i % 3 + 1, 'x') +
+                               std::to_string(i);
+        records[id] = testRecord(id, i + 0.5);
+        written.push_back(id);
+    }
+    IndexedReadDifferential diff(records);
+    const std::vector<char> &image = diff.pristine();
+
+    // Clean image: every record Ok, ghosts Missing.
+    const std::vector<RecordRead> clean = readShardRecords(
+        ImageReader::of(image), {"dvx0", "ghost"});
+    EXPECT_EQ(clean[0].status, DbGetStatus::Ok);
+    EXPECT_EQ(clean[1].status, DbGetStatus::Missing);
+    diff.check(image, "clean ");
+
+    // Every sampled single-byte flip damages one bank at most.
+    for (std::size_t pos = 0; pos < image.size();
+         pos += std::max<std::size_t>(1, image.size() / 97)) {
+        std::vector<char> bad = image;
+        bad[pos] = static_cast<char>(bad[pos] ^ 0x41);
+        const std::string what = "flip " + std::to_string(pos) + " ";
+        diff.check(bad, what);
+        for (const RecordRead &read :
+             readShardRecords(ImageReader::of(bad), written))
+            EXPECT_EQ(read.status, DbGetStatus::Ok) << what;
+    }
+
+    // Seeded multi-byte rot, often across both banks.
+    Rng rng(0x1D3Eu);
+    int salvaged = 0;
+    for (int iter = 0; iter < 200; ++iter) {
+        std::vector<char> bad = image;
+        const unsigned flips = 2 + static_cast<unsigned>(rng.uniformInt(8));
+        for (unsigned f = 0; f < flips; ++f) {
+            const std::size_t pos =
+                static_cast<std::size_t>(rng.uniformInt(bad.size()));
+            bad[pos] = static_cast<char>(bad[pos] ^
+                                         (1u << rng.uniformInt(8)));
+        }
+        if (diff.check(bad, "rot " + std::to_string(iter) + " "))
+            ++salvaged;
+    }
+    // The sweep must reach the per-record salvage path, not only the
+    // strict single-bank reads.
+    EXPECT_GT(salvaged, 0);
+}
+
+TEST(StoreCodecV4, RottedLengthFieldsStillServeIndexedFrames)
+{
+    // Both banks lose framing at the first record: the salvage walk
+    // recovers nothing, the index still locates every other frame.
+    std::map<std::string, EnrollmentRecord> records;
+    records["aa"] = testRecord("aa", 1);
+    records["bb"] = testRecord("bb", 2);
+    std::vector<char> image = buildShardImage(records);
+    const std::size_t payloadLen =
+        (image.size() - 2 * kBankHeaderSize) / 2;
+    for (int i = 0; i < 8; ++i) {
+        image[kBankHeaderSize + 8 + i] = static_cast<char>(0xff);
+        image[kBankHeaderSize + payloadLen + 8 + i] =
+            static_cast<char>(0xff);
+    }
+    const std::vector<RecordRead> reads =
+        readShardRecords(ImageReader::of(image), {"aa", "bb", "cc"});
+    EXPECT_EQ(reads[0].status, DbGetStatus::Unrecoverable);
+    EXPECT_EQ(reads[1].status, DbGetStatus::Ok);
+    EXPECT_TRUE(sameRecord(records["bb"], reads[1].record));
+    EXPECT_EQ(reads[2].status, DbGetStatus::Missing);
+}
+
+TEST(StoreCodecV4, IndexPointingAtAnotherFrameNeverServesIt)
+{
+    // A forged index whose CRCs all verify but whose entries swap the
+    // two frames: a frame is served only under the id it decodes to.
+    std::map<std::string, EnrollmentRecord> records;
+    records["aa"] = testRecord("aa", 1);
+    records["bb"] = testRecord("bb", 2);
+    std::vector<char> image = buildShardImage(records);
+    const std::size_t payloadLen =
+        (image.size() - 2 * kBankHeaderSize) / 2;
+    std::vector<char> payload(image.begin() + kBankHeaderSize,
+                              image.begin() + kBankHeaderSize + payloadLen);
+    const std::size_t locator = payloadLen - kIndexLocatorSize;
+    ByteReader loc(payload.data() + locator, kIndexLocatorSize);
+    uint64_t indexOffset = 0, indexLen = 0;
+    ASSERT_TRUE(loc.u64(indexOffset) && loc.u64(indexLen));
+    // Entries: [n][8 "aa"][off][len][8 "bb"][off][len]; swap the
+    // (off, len) pairs.
+    const std::size_t first = indexOffset + 8 + 8 + 2;
+    const std::size_t second = first + 16 + 8 + 2;
+    std::swap_ranges(payload.begin() + first, payload.begin() + first + 16,
+                     payload.begin() + second);
+    std::vector<char> crc;
+    putU64(crc, fnv1a(payload.data() + indexOffset, indexLen));
+    std::copy(crc.begin(), crc.end(), payload.begin() + locator + 16);
+
+    std::vector<char> forged;
+    putU64(forged, (uint64_t{kShardVersion} << 32) | kStoreMagic);
+    putU64(forged, payload.size());
+    putU64(forged, fnv1a(payload));
+    forged.insert(forged.end(), payload.begin(), payload.end());
+    forged.insert(forged.end(), payload.begin(), payload.end());
+    putU64(forged, fnv1a(payload));
+    putU64(forged, payload.size());
+    putU64(forged, (uint64_t{kShardVersion} << 32) | kStoreMagic);
+
+    const std::vector<RecordRead> reads =
+        readShardRecords(ImageReader::of(forged), {"aa", "bb"});
+    EXPECT_EQ(reads[0].status, DbGetStatus::Unrecoverable);
+    EXPECT_EQ(reads[1].status, DbGetStatus::Unrecoverable);
+}
+
+/** Ids of every record parseShardImage recovers from `path`. */
+std::vector<std::string>
+parsedIds(const std::string &path)
+{
+    std::vector<char> bytes;
+    EXPECT_TRUE(readFile(path, bytes));
+    std::map<std::string, EnrollmentRecord> records;
+    parseShardImage(bytes, records);
+    std::vector<std::string> ids;
+    for (const auto &[id, rec] : records)
+        ids.push_back(id);
+    return ids;
+}
+
+TEST(EnrollmentDb, IdsFromIndexMatchFullParse)
+{
+    const std::string dir = freshDir("db_ids_index");
+    EnrollmentDbConfig cfg = smallConfig(dir);
+    cfg.shards = 1;
+    EnrollmentDb db(cfg);
+    ASSERT_TRUE(db.open());
+    for (int i = 0; i < 9; ++i)
+        ASSERT_TRUE(db.put(testRecord("ix" + std::to_string(i), i)));
+    ASSERT_TRUE(db.checkpoint());
+    const std::string shard = db.shardPath(0);
+    EXPECT_EQ(db.ids(), parsedIds(shard));
+    EXPECT_EQ(db.ids().size(), 9u);
+
+    std::vector<char> pristine;
+    ASSERT_TRUE(readFile(shard, pristine));
+    const std::size_t payloadLen =
+        (pristine.size() - 2 * kBankHeaderSize) / 2;
+    const std::size_t locatorA =
+        kBankHeaderSize + payloadLen - kIndexLocatorSize;
+    // Bank A's index, then a bank A frame, then bank B's index: one
+    // bank damaged at a time.
+    for (const std::size_t pos :
+         {locatorA - 5, kBankHeaderSize + 40,
+          locatorA + payloadLen - 5}) {
+        std::vector<char> bad = pristine;
+        bad[pos] = static_cast<char>(bad[pos] ^ 0x24);
+        ASSERT_TRUE(atomicWriteFile(shard, bad));
+        EXPECT_EQ(db.ids(), parsedIds(shard)) << "byte " << pos;
+        EXPECT_EQ(db.ids().size(), 9u) << "byte " << pos;
+    }
+
+    // Both indexes damaged: ids() parses the whole image instead.
+    std::vector<char> bad = pristine;
+    bad[locatorA - 5] = static_cast<char>(bad[locatorA - 5] ^ 0x24);
+    bad[locatorA + payloadLen - 5] =
+        static_cast<char>(bad[locatorA + payloadLen - 5] ^ 0x24);
+    ASSERT_TRUE(atomicWriteFile(shard, bad));
+    EXPECT_EQ(db.ids(), parsedIds(shard));
+    EXPECT_EQ(db.ids().size(), 9u);
+}
+
+/** The records in tests/golden/shard_v3.bin (a 1-shard db). */
+std::map<std::string, EnrollmentRecord>
+v3FixtureRecords()
+{
+    std::map<std::string, EnrollmentRecord> records;
+    for (int i = 0; i < 4; ++i) {
+        const std::string id = "v3.ch" + std::to_string(i);
+        records[id] = testRecord(id, i + 1.0);
+    }
+    records["v3.ch2"].flags = kRecordQuarantined;
+    records["v3.ch2"].generation = 2;
+    return records;
+}
+
+TEST(EnrollmentDb, V3ShardImageServedThenRewrittenAsV4)
+{
+    std::vector<char> fixture;
+    ASSERT_TRUE(readFile(std::string(DIVOT_GOLDEN_DIR) + "/shard_v3.bin",
+                         fixture));
+    ASSERT_GE(fixture.size(), 2 * kBankHeaderSize);
+    EXPECT_EQ(static_cast<unsigned char>(fixture[4]), kShardVersionV3);
+
+    const std::string dir = freshDir("db_v3_fixture");
+    EnrollmentDbConfig cfg = smallConfig(dir);
+    cfg.shards = 1;
+    EnrollmentDb db(cfg);
+    ASSERT_TRUE(atomicWriteFile(db.shardPath(0), fixture));
+    ASSERT_TRUE(db.open());
+
+    const auto records = v3FixtureRecords();
+    std::vector<std::string> ids;
+    for (const auto &[id, rec] : records) {
+        EnrollmentRecord out;
+        ASSERT_EQ(db.get(id, out), DbGetStatus::Ok) << id;
+        EXPECT_TRUE(sameRecord(rec, out)) << id;
+        ids.push_back(id);
+    }
+    EnrollmentRecord out;
+    EXPECT_EQ(db.get("v3.ghost", out), DbGetStatus::Missing);
+
+    ids.push_back("v3.ghost");
+    const std::vector<RecordRead> reads = db.readRecords(0, ids);
+    ASSERT_EQ(reads.size(), ids.size());
+    for (std::size_t i = 0; i + 1 < ids.size(); ++i) {
+        EXPECT_EQ(reads[i].status, DbGetStatus::Ok) << ids[i];
+        EXPECT_TRUE(sameRecord(records.at(ids[i]), reads[i].record));
+    }
+    EXPECT_EQ(reads.back().status, DbGetStatus::Missing);
+    ids.pop_back();
+    EXPECT_EQ(db.ids(), ids);
+
+    // A pristine v3 image needs no repair: scrub leaves it alone.
+    const ScrubResult scrub = db.scrubShard(0);
+    EXPECT_TRUE(scrub.scanned);
+    EXPECT_FALSE(scrub.repaired);
+    EXPECT_FALSE(scrub.unreadable);
+    EXPECT_TRUE(scrub.lostIds.empty());
+    std::vector<char> after;
+    ASSERT_TRUE(readFile(db.shardPath(0), after));
+    EXPECT_EQ(after, fixture);
+
+    // The next overlay flush rewrites the shard as v4, every v3
+    // record carried over unchanged.
+    ASSERT_TRUE(db.put(testRecord("v4.new", 9.0)));
+    ASSERT_TRUE(db.checkpoint());
+    ASSERT_TRUE(readFile(db.shardPath(0), after));
+    EXPECT_EQ(static_cast<unsigned char>(after[4]), kShardVersion);
+    std::map<std::string, EnrollmentRecord> back;
+    const ShardParseReport report = parseShardImage(after, back);
+    EXPECT_TRUE(report.ok);
+    EXPECT_FALSE(report.fellBack);
+    ASSERT_EQ(back.size(), records.size() + 1);
+    for (const auto &[id, rec] : records)
+        EXPECT_TRUE(sameRecord(rec, back.at(id))) << id;
+    std::vector<std::string> indexed;
+    ASSERT_TRUE(readShardIndexIds(ImageReader::of(after), indexed));
+    EXPECT_EQ(indexed.size(), records.size() + 1);
 }
 
 } // namespace

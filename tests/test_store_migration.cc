@@ -21,6 +21,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "auth/enrollment.hh"
 #include "store/codec.hh"
 #include "store/enrollment_db.hh"
@@ -54,6 +56,18 @@ originalRecords()
         records[rec.id] = rec;
     }
     return records;
+}
+
+/**
+ * Path under the test temp dir, suffixed with the pid: ctest runs
+ * each test as its own process, concurrently, and a shared path would
+ * let one test's cleanup or rewrite race another's read.
+ */
+std::string
+tempPath(const char *name)
+{
+    return std::string(::testing::TempDir()) + name + "_" +
+        std::to_string(static_cast<long>(::getpid()));
 }
 
 bool
@@ -98,7 +112,7 @@ buildV2Image(const std::map<std::string, EnrollmentRecord> &records)
     for (const auto &[id, rec] : records)
         store.enroll(id, rec.fp);
     const std::string path =
-        std::string(::testing::TempDir()) + "mig_v2.bin";
+        tempPath("mig_v2.bin");
     EXPECT_TRUE(store.saveToFile(path));
     std::vector<char> image;
     EXPECT_TRUE(readFile(path, image));
@@ -221,8 +235,7 @@ TEST_F(StoreMigrationFuzz, V3ShardImageNeverLoadsJunk)
 TEST_F(StoreMigrationFuzz, LegacyImagesImportIntoTheDb)
 {
     const auto orig = originalRecords();
-    const std::string dir =
-        std::string(::testing::TempDir()) + "mig_import";
+    const std::string dir = tempPath("mig_import");
     ensureDir(dir);
     removeFile(dir + "/journal.wal");
     for (unsigned s = 0; s < 4; ++s)
@@ -263,7 +276,7 @@ class JournalTailFuzz : public ::testing::Test
     void
     SetUp() override
     {
-        dir_ = std::string(::testing::TempDir()) + "mig_journal";
+        dir_ = tempPath("mig_journal");
         ensureDir(dir_);
         removeFile(dir_ + "/journal.wal");
         for (unsigned s = 0; s < 4; ++s) {
