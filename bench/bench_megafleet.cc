@@ -105,13 +105,12 @@ struct ServiceRun
  */
 ServiceRun
 runService(const MegaFleetConfig &base, const std::string &dir,
-           unsigned threads, unsigned lanes, uint64_t ticks,
-           uint64_t seed, const FaultInjector *injector)
+           unsigned threads, uint64_t ticks, uint64_t seed,
+           const FaultInjector *injector)
 {
     MegaFleetConfig cfg = base;
     cfg.store.directory = dir;
     cfg.threads = threads;
-    cfg.reactorLanes = lanes;
     resetDir(dir, cfg.store.shards);
 
     MegaFleet fleet(cfg, Rng(seed));
@@ -207,13 +206,12 @@ runService(const MegaFleetConfig &base, const std::string &dir,
 
 RunResult
 runFleet(const MegaFleetConfig &base, const std::string &dir,
-         unsigned threads, unsigned lanes, uint64_t ticks,
-         uint64_t seed, const FaultInjector *injector)
+         unsigned threads, uint64_t ticks, uint64_t seed,
+         const FaultInjector *injector)
 {
     MegaFleetConfig cfg = base;
     cfg.store.directory = dir;
     cfg.threads = threads;
-    cfg.reactorLanes = lanes;
     resetDir(dir, cfg.store.shards);
 
     MegaFleet fleet(cfg, Rng(seed));
@@ -387,31 +385,24 @@ main(int argc, char **argv)
         : opt.full                  ? "full"
         : (opt.quick || opt.smoke)  ? "quick"
                                     : "default";
-    const unsigned lanesK = base.reactorLanes != 0
-        ? base.reactorLanes
-        : std::min(base.store.shards == 0 ? 1u : base.store.shards,
-                   8u);
-
     std::printf("MegaFleet persistence bench: %zu channels, "
                 "%u shards, %zu probes/tick, %llu ticks, "
-                "%u reactor lanes, %.0f MiB shard cache\n",
+                "%.0f MiB shard cache\n",
                 base.channels, base.store.shards, base.probesPerTick,
-                static_cast<unsigned long long>(ticks), lanesK,
+                static_cast<unsigned long long>(ticks),
                 base.store.shardCacheBytes / 1048576.0);
 
     const std::string root = "/tmp/divot_megafleet";
     store::ensureDir(root);
 
-    // --- Clean capacity + determinism runs. The serial run pins one
-    // lane; the pooled run lets the lane count resolve (min(shards,
-    // 8)), so the digest equality below covers BOTH the thread-count
-    // and the lane-partition invariance at once. ---------------------
+    // --- Clean capacity + determinism runs: one thread vs the
+    // hardware thread count. -----------------------------------------
     const RunResult serial =
-        runFleet(base, root + "/clean-serial", 1, /*lanes=*/1, ticks,
-                 opt.seed, nullptr);
+        runFleet(base, root + "/clean-serial", 1, ticks, opt.seed,
+                 nullptr);
     const RunResult pooled =
-        runFleet(base, root + "/clean-pooled", 0, /*lanes=*/0, ticks,
-                 opt.seed, nullptr);
+        runFleet(base, root + "/clean-pooled", 0, ticks, opt.seed,
+                 nullptr);
 
     const double enrollPerSec =
         serial.report.enrolled /
@@ -439,9 +430,9 @@ main(int argc, char **argv)
         serial.report.verdictDigest == pooled.report.verdictDigest;
     std::printf("capacity gate: %s\n",
                 capacity_pass ? "PASS" : "FAIL");
-    std::printf("determinism gate (clean, 1 thread/1 lane vs N "
-                "threads/%u lanes): %s (digest %016llx)\n",
-                lanesK, determinism_pass ? "PASS" : "FAIL",
+    std::printf("determinism gate (clean, 1 thread vs N threads): "
+                "%s (digest %016llx)\n",
+                determinism_pass ? "PASS" : "FAIL",
                 static_cast<unsigned long long>(
                     serial.report.verdictDigest));
 
@@ -459,8 +450,8 @@ main(int argc, char **argv)
         MegaFleetConfig pipelinedCfg = base;
         pipelinedCfg.schedule = ReactorMode::Pipelined;
         const RunResult pipelined =
-            runFleet(pipelinedCfg, root + "/clean-pipelined", 0,
-                     /*lanes=*/0, ticks, opt.seed, nullptr);
+            runFleet(pipelinedCfg, root + "/clean-pipelined", 0, ticks,
+                     opt.seed, nullptr);
         pipelinedUtilization = pipelined.report.instrumentUtilization;
         schedule_digest_pass = pipelined.report.verdictDigest ==
             serial.report.verdictDigest;
@@ -493,11 +484,11 @@ main(int argc, char **argv)
     const FaultInjector injector(plan, Rng(opt.seed ^ 0xFau));
 
     const RunResult faultSerial =
-        runFleet(campaign, root + "/fault-serial", 1, /*lanes=*/1,
-                 ticks, opt.seed, &injector);
+        runFleet(campaign, root + "/fault-serial", 1, ticks, opt.seed,
+                 &injector);
     const RunResult faultPooled =
-        runFleet(campaign, root + "/fault-pooled", 0, /*lanes=*/0,
-                 ticks, opt.seed, &injector);
+        runFleet(campaign, root + "/fault-pooled", 0, ticks, opt.seed,
+                 &injector);
 
     std::printf("\nfault campaign (%zu channels): enrolled %llu, "
                 "%llu crash recoveries, %llu pending-reenroll, "
@@ -525,8 +516,8 @@ main(int argc, char **argv)
         faultSerial.report.enrolled +
                 faultSerial.report.pendingReenroll ==
             campaign.channels;
-    std::printf("determinism gate (faulted, 1 thread/1 lane vs N "
-                "threads/K lanes): %s (digest %016llx)\n",
+    std::printf("determinism gate (faulted, 1 thread vs N threads): "
+                "%s (digest %016llx)\n",
                 fault_determinism_pass ? "PASS" : "FAIL",
                 static_cast<unsigned long long>(
                     faultSerial.report.verdictDigest));
@@ -545,17 +536,17 @@ main(int argc, char **argv)
     svcCfg.channels = campaignChannels;
     const uint64_t svcTicks = ticks + 2;
     const ServiceRun svcSerial =
-        runService(svcCfg, root + "/svc-serial", 1, /*lanes=*/1,
-                   svcTicks, opt.seed, nullptr);
+        runService(svcCfg, root + "/svc-serial", 1, svcTicks, opt.seed,
+                   nullptr);
     const ServiceRun svcPooled =
-        runService(svcCfg, root + "/svc-pooled", 0, /*lanes=*/0,
-                   svcTicks, opt.seed, nullptr);
+        runService(svcCfg, root + "/svc-pooled", 0, svcTicks, opt.seed,
+                   nullptr);
     const ServiceRun svcFaultSerial =
-        runService(svcCfg, root + "/svc-fault-serial", 1, /*lanes=*/1,
-                   svcTicks, opt.seed, &injector);
+        runService(svcCfg, root + "/svc-fault-serial", 1, svcTicks,
+                   opt.seed, &injector);
     const ServiceRun svcFaultPooled =
-        runService(svcCfg, root + "/svc-fault-pooled", 0, /*lanes=*/0,
-                   svcTicks, opt.seed, &injector);
+        runService(svcCfg, root + "/svc-fault-pooled", 0, svcTicks,
+                   opt.seed, &injector);
 
     const double requestsPerSec = svcSerial.responses /
         (svcSerial.seconds > 0 ? svcSerial.seconds : 1e-9);
@@ -638,7 +629,6 @@ main(int argc, char **argv)
         appendf(r, "    \"shards\": %u,\n", base.store.shards);
         appendf(r, "    \"probesPerTick\": %zu,\n",
                 base.probesPerTick);
-        appendf(r, "    \"reactorLanes\": %u,\n", lanesK);
         appendf(r, "    \"shardCacheBytes\": %zu,\n",
                 base.store.shardCacheBytes);
         appendf(r, "    \"journalGroupCommit\": %s,\n",

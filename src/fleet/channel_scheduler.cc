@@ -145,47 +145,12 @@ ChannelScheduler::rebuildShardRouting()
         shardChannels_[db_->shardOf(channels_[i]->name())].push_back(i);
 }
 
-unsigned
-ChannelScheduler::resolveLanes() const
-{
-    // Lanes partition *hydration*, which only exists store-backed;
-    // Pipelined mode interleaves hydration with dispatch chains whose
-    // order is instrument-driven, so it keeps the single queue.
-    if (db_ == nullptr ||
-        config_.reactor.mode == ReactorMode::Pipelined) {
-        return 1;
-    }
-    if (config_.reactorLanes != 0)
-        return config_.reactorLanes;
-    const unsigned shards =
-        db_->config().shards == 0 ? 1 : db_->config().shards;
-    return std::min(shards, 8u);
-}
-
-unsigned
-ChannelScheduler::laneOf(std::size_t index) const
-{
-    return db_->shardOf(channels_[index]->name()) % laneCount_;
-}
-
 void
-ChannelScheduler::scheduleEvent(Reactor &target, ReactorEventType type,
-                                double vtime, std::size_t channel,
-                                uint64_t ticket)
+ChannelScheduler::scheduleEvent(ReactorEventType type, double vtime,
+                                std::size_t channel, uint64_t ticket)
 {
-    target.schedule(type, vtime, channel, ticket);
-    // The lane-invariant queue-shape account: total events queued
-    // fleet-wide, sampled where the total can only have grown. For
-    // one lane this is exactly the reactor's own high-water; for K
-    // lanes the sum is identical because the same events exist, just
-    // partitioned.
-    std::size_t depth = reactor_->depth();
-    for (const auto &lane : laneReactors_)
-        depth += lane->depth();
-    if (depth > queuePeak_) {
-        queuePeak_ = depth;
-        tmQueuePeak_.max(static_cast<int64_t>(depth));
-    }
+    reactor_->schedule(type, vtime, channel, ticket);
+    tmQueuePeak_.max(static_cast<int64_t>(reactor_->depth()));
 }
 
 void
@@ -196,24 +161,8 @@ ChannelScheduler::attachStore(store::EnrollmentDb *db,
     residentBudget_ = resident_budget_bytes;
     resident_ = 0;
     rebuildShardRouting();
-    laneReactors_.clear();
-    laneCount_ = resolveLanes();
     if (db_ == nullptr)
         return;
-    if (laneCount_ > 1) {
-        // Lane reactors share the primary's telemetry cells
-        // (registration is idempotent) and never touch the instrument
-        // pool — instruments are acquired only from the serial probe
-        // phase on the primary.
-        laneReactors_.reserve(laneCount_);
-        for (unsigned k = 0; k < laneCount_; ++k) {
-            laneReactors_.push_back(std::make_unique<Reactor>(
-                config_.reactor, config_.instruments));
-            laneReactors_.back()->attachTelemetry(telemetry_.get());
-            laneReactors_.back()->reserve(config_.instruments + 1);
-        }
-    }
-    db_->setShardCacheLanes(laneCount_);
     Registry &reg = telemetry_->registry();
     tmHydrates_ = reg.counter("store.hydrates");
     tmEvictions_ = reg.counter("store.evictions");
@@ -513,8 +462,7 @@ ChannelScheduler::tryDispatch(double vtime)
         return false;
     lastDispatchTick_[best] = static_cast<int64_t>(tick_);
     phase_[best] = ChannelPhase::Hydrating;
-    scheduleEvent(*reactor_, ReactorEventType::HydrateRequest, vtime,
-                  best);
+    scheduleEvent(ReactorEventType::HydrateRequest, vtime, best);
     return true;
 }
 
@@ -568,8 +516,7 @@ ChannelScheduler::onHydrateRequest(const ReactorEvent &event)
         // Channel fenced (demotion already observed into the fused
         // verdict); record the manifestation and, pipelined, hand the
         // freed dispatch slot to the next ranked candidate.
-        scheduleEvent(*reactor_, ReactorEventType::FaultEvent,
-                      event.vtime, c);
+        scheduleEvent(ReactorEventType::FaultEvent, event.vtime, c);
         if (pipelined)
             tryDispatch(event.vtime);
         return;
@@ -599,91 +546,8 @@ ChannelScheduler::onHydrateRequest(const ReactorEvent &event)
     const CompletionQueue::Ticket ticket = cq_->submit(
         [ch, out, vtime] { out->verdict = ch->monitorAt(vtime); });
     reactor_->acquireInstrument();
-    scheduleEvent(*reactor_, ReactorEventType::ProbeComplete,
+    scheduleEvent(ReactorEventType::ProbeComplete,
                   vtime + ch->roundDuration(), c, ticket);
-}
-
-void
-ChannelScheduler::hydrateLanes(const std::vector<std::size_t> &selected)
-{
-    // Lane phase: every lane drains its own HydrateRequest queue on
-    // the pool, staging what it *would* do to the fleet. A lane only
-    // touches lane-confined state — its own reactor, its shard-cache
-    // partition (shard % K == lane, the same rule laneOf() routes by),
-    // and the selected channels' own objects (restoreEnrollment) —
-    // so the staged outcomes are a pure function of (seed, config)
-    // at any thread count.
-    enum class Outcome : uint8_t
-    {
-        Ready,       // already resident: just dispatchable
-        HydratedNew, // restored from the store this epoch
-        Lost,        // missing/unrecoverable: fence the channel
-        FencedSkip   // was already PendingReenroll when popped
-    };
-    struct Staged
-    {
-        Outcome kind = Outcome::Ready;
-        std::size_t bytes = 0;
-    };
-    std::vector<Staged> staged(selected.size());
-    pool_->parallelFor(laneCount_, [&](std::size_t lane) {
-        Reactor &lr = *laneReactors_[lane];
-        while (!lr.empty()) {
-            const ReactorEvent event = lr.pop();
-            Staged &out = staged[event.ticket];
-            BusChannel &ch = *channels_[event.channel];
-            if (ch.state() == AuthState::PendingReenroll) {
-                out.kind = Outcome::FencedSkip;
-                continue;
-            }
-            if (ch.enrollmentResident()) {
-                out.kind = Outcome::Ready;
-                continue;
-            }
-            store::EnrollmentRecord record;
-            if (db_->get(ch.name(), record) ==
-                store::DbGetStatus::Ok) {
-                ch.restoreEnrollment(std::move(record.fp),
-                                     std::move(record.nominal));
-                out.kind = Outcome::HydratedNew;
-                out.bytes = ch.enrollmentBytes();
-                continue;
-            }
-            out.kind = Outcome::Lost;
-        }
-    });
-    // Serial merge, ascending selection order — exactly the order a
-    // single lane pops (equal vtime, ascending seq), so phase
-    // transitions, the epochReady_ batch, demotion side effects (the
-    // order-sensitive "store.lost" event ring) and the FaultEvent
-    // sequence on the primary reproduce the one-lane run bit for bit.
-    for (std::size_t j = 0; j < selected.size(); ++j) {
-        const std::size_t c = selected[j];
-        switch (staged[j].kind) {
-        case Outcome::HydratedNew:
-            resident_ += staged[j].bytes;
-            tmHydrates_.add();
-            [[fallthrough]];
-        case Outcome::Ready:
-            phase_[c] = ChannelPhase::Probing;
-            epochReady_.push_back(c);
-            break;
-        case Outcome::Lost:
-            demoteToPendingReenroll(c, epochWall_);
-            scheduleEvent(*reactor_, ReactorEventType::FaultEvent,
-                          epochWall_, c);
-            break;
-        case Outcome::FencedSkip:
-            scheduleEvent(*reactor_, ReactorEventType::FaultEvent,
-                          epochWall_, c);
-            break;
-        }
-    }
-    // Fold lane consumption into the primary so consumed() totals are
-    // lane-count-invariant (shared telemetry cells were bumped once,
-    // at the lane's pop).
-    for (auto &lane : laneReactors_)
-        reactor_->absorb(*lane);
 }
 
 void
@@ -748,26 +612,23 @@ ChannelScheduler::launchBarrierProbes()
     // scrub step: exactly the pre-reactor operation order.
     for (std::size_t i = 0; i < epochReady_.size(); ++i) {
         reactor_->acquireInstrument();
-        scheduleEvent(*reactor_, ReactorEventType::ProbeComplete,
+        scheduleEvent(ReactorEventType::ProbeComplete,
                       epochEnd_, epochReady_[i], /*ticket=*/i);
     }
-    scheduleEvent(*reactor_, ReactorEventType::FuseEpoch, epochEnd_);
+    scheduleEvent(ReactorEventType::FuseEpoch, epochEnd_);
     if (db_ != nullptr) {
-        scheduleEvent(*reactor_, ReactorEventType::EvictPressure,
-                      epochEnd_);
+        scheduleEvent(ReactorEventType::EvictPressure, epochEnd_);
         if (epochReady_.size() < config_.instruments)
-            scheduleEvent(*reactor_, ReactorEventType::ScrubStep,
-                          epochEnd_);
+            scheduleEvent(ReactorEventType::ScrubStep, epochEnd_);
     }
 }
 
 void
 ChannelScheduler::scheduleEpochTail()
 {
-    scheduleEvent(*reactor_, ReactorEventType::FuseEpoch, epochEnd_);
+    scheduleEvent(ReactorEventType::FuseEpoch, epochEnd_);
     if (db_ != nullptr) {
-        scheduleEvent(*reactor_, ReactorEventType::EvictPressure,
-                      epochEnd_);
+        scheduleEvent(ReactorEventType::EvictPressure, epochEnd_);
         // Idle instrument time funds background maintenance, as idle
         // slots did under the barrier scheduler.
         const double capacity =
@@ -775,8 +636,7 @@ ChannelScheduler::scheduleEpochTail()
             (epochEnd_ - epochWall_);
         const double busy = reactor_->busySeconds() - epochBusyStart_;
         if (busy + kEpochSlack < capacity)
-            scheduleEvent(*reactor_, ReactorEventType::ScrubStep,
-                          epochEnd_);
+            scheduleEvent(ReactorEventType::ScrubStep, epochEnd_);
     }
 }
 
@@ -850,8 +710,7 @@ ChannelScheduler::onScrubStep(const ReactorEvent &event)
         if (channels_[i]->state() == AuthState::PendingReenroll)
             continue;
         demoteToPendingReenroll(i, event.vtime);
-        scheduleEvent(*reactor_, ReactorEventType::FaultEvent,
-                      event.vtime, i);
+        scheduleEvent(ReactorEventType::FaultEvent, event.vtime, i);
     }
     if (scrub.unreadable) {
         // The whole shard image yielded nothing recoverable, so
@@ -870,8 +729,7 @@ ChannelScheduler::onScrubStep(const ReactorEvent &event)
             if (db_->get(channels_[i]->name(), rec) !=
                 store::DbGetStatus::Ok) {
                 demoteToPendingReenroll(i, event.vtime);
-                scheduleEvent(*reactor_, ReactorEventType::FaultEvent,
-                              event.vtime, i);
+                scheduleEvent(ReactorEventType::FaultEvent, event.vtime, i);
             }
         }
     }
@@ -931,20 +789,10 @@ ChannelScheduler::tick()
     } else {
         const std::vector<std::size_t> selected = selectChannels();
         epochSeeded_ = selected.size();
-        for (std::size_t j = 0; j < selected.size(); ++j) {
-            const std::size_t c = selected[j];
+        for (const std::size_t c : selected) {
             phase_[c] = ChannelPhase::Hydrating;
-            // Lane routing follows the store shard (shard % K), so a
-            // lane's queue aligns with its shard-cache partition; the
-            // ticket carries the selection position for the staged
-            // outcome slot.
-            scheduleEvent(laneCount_ > 1 ? *laneReactors_[laneOf(c)]
-                                         : *reactor_,
-                          ReactorEventType::HydrateRequest,
-                          epochWall_, c, /*ticket=*/j);
+            scheduleEvent(ReactorEventType::HydrateRequest, epochWall_, c);
         }
-        if (laneCount_ > 1)
-            hydrateLanes(selected);
         // Hydrations consume in ascending channel order (equal vtime,
         // ascending seq); the queue then runs dry and the probe batch
         // + epoch tail launch in the pre-reactor operation order.
@@ -1005,16 +853,14 @@ void
 ChannelScheduler::scheduleRequestArrival(std::size_t channel,
                                          uint64_t ticket)
 {
-    scheduleEvent(*reactor_, ReactorEventType::RequestArrival,
-                  elapsed_, channel, ticket);
+    scheduleEvent(ReactorEventType::RequestArrival, elapsed_, channel, ticket);
 }
 
 void
 ChannelScheduler::scheduleRequestComplete(std::size_t channel,
                                           uint64_t ticket, double vtime)
 {
-    scheduleEvent(*reactor_, ReactorEventType::RequestComplete, vtime,
-                  channel, ticket);
+    scheduleEvent(ReactorEventType::RequestComplete, vtime, channel, ticket);
 }
 
 void

@@ -37,9 +37,11 @@
  * (FleetAuthenticator observation, store IO, telemetry events) happen
  * only while the single-threaded event loop consumes the
  * corresponding event, in an order that is a pure function of
- * (seed, config). Fleet rounds are therefore bit-identical at any
- * thread count, in both modes, with and without a store or fault
- * plans attached.
+ * (seed, config). Store hydration is such an effect: each
+ * HydrateRequest reads the db from the event loop, so no worker
+ * thread ever touches the store. Fleet rounds are therefore
+ * bit-identical at any thread count, in both modes, with and without
+ * a store or fault plans attached.
  */
 
 #ifndef DIVOT_FLEET_CHANNEL_SCHEDULER_HH
@@ -114,20 +116,6 @@ struct FleetConfig
     /** Per-channel admission bound: in-flight requests naming the
      *  same channel beyond this are rejected Busy. */
     std::size_t requestChannelDepth = 4;
-
-    /**
-     * Reactor hydration lanes (store-backed Barrier mode only): the
-     * epoch's hydration requests are partitioned by store shard —
-     * lane k owns channels whose shard s satisfies s % K == k — into
-     * K independent (vtime, seq) event queues drained in parallel,
-     * one thread per lane; the staged outcomes are merged serially in
-     * the ascending-channel order the single-lane loop would have
-     * consumed, so fused verdicts, stable telemetry, and event counts
-     * are bit-identical for K=1 vs any K at any thread count (see
-     * DESIGN.md §16). 0 = auto: min(store shards, 8). Pipelined mode
-     * and storeless fleets always run one lane.
-     */
-    unsigned reactorLanes = 0;
 };
 
 /** One channel probe performed during a tick. */
@@ -261,18 +249,12 @@ class ChannelScheduler
     const Telemetry &telemetry() const { return *telemetry_; }
 
     /** @return the deterministic event core (queue stats, per-type
-     *  consumption counts, instrument accounting). Lane consumption
-     *  counts are folded in, so totals are lane-count-invariant. */
+     *  consumption counts, instrument accounting). */
     const Reactor &reactor() const { return *reactor_; }
 
-    /** @return resolved reactor-lane count (1 until a store is
-     *  attached; Pipelined mode always runs one lane). */
-    unsigned reactorLaneCount() const { return laneCount_; }
-
-    /** @return lane-invariant peak of total queued events across the
-     *  primary reactor and every lane (the stable queue-shape
+    /** @return peak of queued reactor events (the stable queue-shape
      *  metric). */
-    std::size_t queuePeak() const { return queuePeak_; }
+    std::size_t queuePeak() const { return reactor_->queueHighWater(); }
 
     /** @return lifecycle phase of channel `index`. */
     ChannelPhase channelPhase(std::size_t index) const;
@@ -372,20 +354,10 @@ class ChannelScheduler
     void demoteToPendingReenroll(std::size_t index, double wall);
     /** Rebuild the shard → channel-indices routing table. */
     void rebuildShardRouting();
-    /** @return K for the current mode/store (see
-     *  FleetConfig::reactorLanes). */
-    unsigned resolveLanes() const;
-    /** @return the lane owning channel `index` (shard % laneCount_). */
-    unsigned laneOf(std::size_t index) const;
-    /** Schedule onto `target` and fold the fleet-wide queued total
-     *  into the lane-invariant queue-peak gauge. */
-    void scheduleEvent(Reactor &target, ReactorEventType type,
-                       double vtime, std::size_t channel = 0,
-                       uint64_t ticket = 0);
-    /** Barrier + lanes: drain the epoch's hydration through the lane
-     *  reactors in parallel and merge the staged outcomes in
-     *  ascending-channel order. */
-    void hydrateLanes(const std::vector<std::size_t> &selected);
+    /** Schedule onto the reactor and fold its queue depth into the
+     *  queue-peak gauge. */
+    void scheduleEvent(ReactorEventType type, double vtime,
+                       std::size_t channel = 0, uint64_t ticket = 0);
 
     /** @name Reactor event handlers (single-threaded event loop). */
     ///@{
@@ -419,11 +391,6 @@ class ChannelScheduler
     std::unique_ptr<CompletionQueue> cq_; //!< probe completions
                                           //!< (Pipelined mode)
     std::unique_ptr<Reactor> reactor_;
-    /** Lane reactors (store-backed Barrier mode, laneCount_ > 1);
-     *  lane k drains shards s ≡ k (mod laneCount_). */
-    std::vector<std::unique_ptr<Reactor>> laneReactors_;
-    unsigned laneCount_ = 1;
-    std::size_t queuePeak_ = 0; //!< lane-invariant queued-event peak
     double slot_ = 0.0; //!< max channel roundDuration()
     uint64_t tick_ = 0;
     bool calibrated_ = false;
@@ -506,8 +473,7 @@ class ChannelScheduler
     Gauge tmUtilization_;     //!< fleet.instrument.utilization, ‰
     Gauge tmIdleSlotPermille_; //!< fleet.reactor.idle_slot.permille
     Gauge tmQueuePeak_;       //!< fleet.reactor.queue.peak (Stable:
-                              //!< fleet-wide total at schedule points,
-                              //!< identical for 1 or K lanes)
+                              //!< queue depth at schedule points)
     std::vector<Counter> tmChannelProbes_; //!< indexed like channels_
     Counter tmHydrates_;        //!< store.hydrates
     Counter tmEvictions_;       //!< store.evictions

@@ -94,18 +94,6 @@ MegaFleet::MegaFleet(MegaFleetConfig config, Rng rng)
         config_.instruments = 1;
     slots_.resize(config_.channels);
 
-    // Resolve the hydration-lane count from the fleet *composition*
-    // only (never the thread count: the digest must not move when the
-    // pool size does) and give the store's decoded-image cache the
-    // same partition before the db is built.
-    lanes_ = config_.reactorLanes;
-    if (lanes_ == 0) {
-        const unsigned shards =
-            config_.store.shards == 0 ? 1 : config_.store.shards;
-        lanes_ = std::min(shards, 8u);
-    }
-    config_.store.shardCacheLanes = lanes_;
-
     store::ensureDir(config_.store.directory);
     db_.reset(new store::EnrollmentDb(config_.store));
     db_->attachTelemetry(telemetry_.get());
@@ -433,75 +421,56 @@ MegaFleet::tick()
     // --- Hydrate: group by shard so each shard's index is read at
     // most once per tick, then only the batch's record frames (or
     // nothing at all when the store's decoded-image cache holds the
-    // shard). Lane k walks shards s ≡ k (mod lanes) in ascending
-    // order on its own pool thread — each cache lane is touched by
-    // exactly one thread, so every cache decision is
-    // thread-count-independent — and stages its outcomes; the serial
-    // merge below applies them in ascending shard order, reproducing
-    // the K=1 effect order (and therefore the fuseScores operand
-    // order and the digest) exactly. ----------------------------------
+    // shard). The store reads the groups in parallel and applies
+    // their cache accesses serially; the merge below walks the groups
+    // in ascending shard order, so the fuseScores operand order and
+    // the digest do not depend on the thread count. ------------------
     std::map<unsigned, std::vector<std::size_t>> byShard;
     for (std::size_t i : batch)
         byShard[db_->shardOf(channelId(i))].push_back(i);
-    std::vector<std::pair<unsigned, std::vector<std::size_t>>> shardsVec(
-        byShard.begin(), byShard.end());
+    std::vector<store::ShardReadGroup> groups;
+    groups.reserve(byShard.size());
+    for (const auto &[shard, channels] : byShard) {
+        store::ShardReadGroup &group = groups.emplace_back();
+        group.shard = shard;
+        group.ids.reserve(channels.size());
+        for (std::size_t i : channels)
+            group.ids.push_back(channelId(i));
+    }
+    std::vector<store::ShardRead> shardReads =
+        db_->readRecords(groups, *pool_);
 
     struct Hydrated
     {
         std::size_t channel;
         store::EnrollmentRecord rec;
     };
-    struct ShardStage
-    {
-        std::vector<Hydrated> live;       //!< batch order within shard
-        std::vector<std::size_t> fenced;  //!< channels to demote
-        std::size_t transientBytes = 0;   //!< decoded bytes read from
-                                          //!< disk, not the cache
-    };
-    std::vector<ShardStage> stages(shardsVec.size());
-    pool_->parallelFor(lanes_, [&](std::size_t lane) {
-        for (std::size_t e = 0; e < shardsVec.size(); ++e) {
-            const unsigned shard = shardsVec[e].first;
-            if (shard % lanes_ != lane)
-                continue;
-            ShardStage &stage = stages[e];
-            const std::vector<std::size_t> &channels = shardsVec[e].second;
-            std::vector<std::string> ids;
-            ids.reserve(channels.size());
-            for (std::size_t i : channels)
-                ids.push_back(channelId(i));
-            bool fromCache = false;
-            std::vector<store::RecordRead> reads =
-                db_->readRecords(shard, ids, &fromCache);
-            for (std::size_t k = 0; k < channels.size(); ++k) {
-                store::RecordRead &read = reads[k];
-                const bool ok = read.status == store::DbGetStatus::Ok;
-                if (ok && !fromCache)
-                    stage.transientBytes += read.record.residentBytes();
-                // Missing or damaged in every bank: fence the channel
-                // instead of authenticating junk.
-                if (!ok || (read.record.flags &
-                            store::kRecordPendingReenroll) != 0)
-                    stage.fenced.push_back(channels[k]);
-                else
-                    stage.live.push_back(
-                        Hydrated{channels[k], std::move(read.record)});
-            }
-        }
-    });
-
     std::vector<Hydrated> live;
     live.reserve(batch.size());
     std::size_t residentBytes = 0;
     std::size_t pendingThisTick = 0;
-    for (ShardStage &stage : stages) {
-        for (Hydrated &h : stage.live) {
-            residentBytes += h.rec.residentBytes();
-            live.push_back(std::move(h));
-            ++report_.hydrates;
-            tmHydrates_.add();
-        }
-        for (std::size_t i : stage.fenced) {
+    std::size_t g = 0;
+    for (const auto &[shard, channels] : byShard) {
+        store::ShardRead &shardRead = shardReads[g++];
+        // Records this shard's point read decoded from disk, not
+        // served from the cache.
+        std::size_t transientBytes = 0;
+        for (std::size_t k = 0; k < channels.size(); ++k) {
+            store::RecordRead &read = shardRead.reads[k];
+            const std::size_t i = channels[k];
+            const bool ok = read.status == store::DbGetStatus::Ok;
+            if (ok && !shardRead.fromCache)
+                transientBytes += read.record.residentBytes();
+            if (ok && (read.record.flags &
+                       store::kRecordPendingReenroll) == 0) {
+                residentBytes += read.record.residentBytes();
+                live.push_back(Hydrated{i, std::move(read.record)});
+                ++report_.hydrates;
+                tmHydrates_.add();
+                continue;
+            }
+            // Missing or damaged in every bank: fence the channel
+            // instead of authenticating junk.
             slots_[i].state = 1;
             ++report_.pendingReenroll;
             ++pendingThisTick;
@@ -517,7 +486,7 @@ MegaFleet::tick()
         // separately from the hydration budget.
         report_.peakResidentBytes =
             std::max(report_.peakResidentBytes,
-                     residentBytes + stage.transientBytes);
+                     residentBytes + transientBytes);
     }
     report_.peakResidentBytes =
         std::max(report_.peakResidentBytes, residentBytes);

@@ -21,16 +21,19 @@
  * state and the latest fused score (O(10 bytes) per channel). All
  * fingerprints live in the EnrollmentDb; each tick hydrates exactly
  * the probed batch — grouped by shard so every shard file is read at
- * most once per tick — and releases it when the tick ends. Peak
+ * most once per tick, the groups read in parallel through one store
+ * batch call — and releases it when the tick ends. Peak
  * resident enrollment bytes are reported so benches can assert the
  * budget held.
  *
  * Determinism contract: probes of one tick write disjoint slots and
- * draw only from forkStable streams; hydration, fusion, and every
- * EnrollmentDb mutation run in serial sections in ascending channel
- * order. Fused verdicts are therefore bit-identical at any thread
- * count, with or without an active storage FaultPlan (the db's
- * IO-event sequence is thread-independent either way).
+ * draw only from forkStable streams; hydration reads shard groups in
+ * parallel but merges them, and applies their cache accesses,
+ * serially in ascending shard order; fusion and every EnrollmentDb
+ * mutation run in serial sections in ascending channel order. Fused
+ * verdicts are therefore bit-identical at any thread count, with or
+ * without an active storage FaultPlan (the db's IO-event sequence is
+ * thread-independent either way).
  *
  * Crash behavior: a simulated power cut (StorageCrash cell) kills the
  * db handle mid-enrollment; MegaFleet reopens the directory — which
@@ -72,16 +75,6 @@ struct MegaFleetConfig
     FusionConfig fusion;            //!< similarity fusion rule
     unsigned threads = 0;           //!< worker threads (0 = hardware)
     std::size_t probesPerTick = 4096; //!< wires probed per tick
-
-    /**
-     * Hydration lanes: shard s belongs to lane s % K, each lane walks
-     * its shards in ascending order on its own thread, and the staged
-     * results merge serially in ascending shard order — so fused
-     * verdicts and the digest are bit-identical for K=1 vs any K at
-     * any thread count. 0 = auto: min(store shards, 8). The store's
-     * decoded-image cache is re-partitioned to the same lane count.
-     */
-    unsigned reactorLanes = 0;
     store::EnrollmentDbConfig store;  //!< shard directory + tunables
     std::size_t residentBudgetBytes = 32u << 20; //!< hydration budget
     TelemetryConfig telemetry;      //!< observability (on by default)
@@ -260,7 +253,6 @@ class MegaFleet
     bool putWithRecovery(const store::EnrollmentRecord &record);
 
     MegaFleetConfig config_;
-    unsigned lanes_ = 1; //!< resolved reactorLanes
     Rng rng_;
     std::unique_ptr<Telemetry> telemetry_;
     std::unique_ptr<store::EnrollmentDb> db_;

@@ -199,15 +199,6 @@ Reactor::consumedTotal() const
 }
 
 void
-Reactor::absorb(Reactor &lane)
-{
-    for (std::size_t i = 0; i < kReactorEventTypes; ++i) {
-        consumed_[i] += lane.consumed_[i];
-        lane.consumed_[i] = 0;
-    }
-}
-
-void
 Reactor::reserve(std::size_t events)
 {
     if (events > heap_.capacity())

@@ -217,15 +217,6 @@ class Reactor
     std::size_t queueHighWater() const { return highWater_; }
 
     /**
-     * Fold a lane reactor's per-type consumption counts into this
-     * (primary) reactor and zero the lane's, so `consumed()` totals
-     * are lane-count-invariant however hydration was partitioned.
-     * Telemetry counters are NOT re-added — the lane bumped the
-     * shared cells once when it popped.
-     */
-    void absorb(Reactor &lane);
-
-    /**
      * Grow-only heap reservation: pre-size the event arena so
      * steady-state epochs schedule without reallocating. Never
      * shrinks.
@@ -236,11 +227,9 @@ class Reactor
      * Attach a telemetry sink: per-type consumption counters
      * ("fleet.reactor.events.<type>") — Stable, because the event
      * order is — plus a queue-depth histogram recorded at every pop
-     * and a queue high-water gauge. The queue-shape metrics are
-     * Unstable: with hydration sharded across reactor lanes each lane
-     * sees only its partition's depths, so the shape depends on the
-     * lane count while the event *order* does not (the lane-invariant
-     * shape gauge is the scheduler's "fleet.reactor.queue.peak").
+     * and a queue high-water gauge. The queue-shape metrics register
+     * Unstable; the stable export's one queue-shape metric is the
+     * scheduler's "fleet.reactor.queue.peak" gauge.
      * Pass nullptr to detach. Not owned; must outlive the reactor.
      */
     void attachTelemetry(Telemetry *telemetry);

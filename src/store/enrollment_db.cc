@@ -6,6 +6,7 @@
 
 #include "store/io.hh"
 #include "util/logging.hh"
+#include "util/thread_pool.hh"
 
 namespace divot::store {
 
@@ -88,7 +89,6 @@ EnrollmentDb::EnrollmentDb(EnrollmentDbConfig config)
         ShardCacheConfig cc;
         cc.budgetBytes = config_.shardCacheBytes;
         cc.shards = config_.shards;
-        cc.lanes = config_.shardCacheLanes;
         cache_ = std::make_unique<ShardImageCache>(cc);
     }
 }
@@ -196,14 +196,6 @@ EnrollmentDb::shardView(unsigned shard, bool *from_cache)
         return nullptr;
     view->accountBytes();
     return view;
-}
-
-void
-EnrollmentDb::setShardCacheLanes(unsigned lanes)
-{
-    config_.shardCacheLanes = lanes == 0 ? 1 : lanes;
-    if (cache_ != nullptr)
-        cache_->configureLanes(config_.shardCacheLanes);
 }
 
 ShardCacheStats
@@ -590,11 +582,42 @@ EnrollmentDb::readRecords(unsigned shard,
                           const std::vector<std::string> &ids,
                           bool *from_cache)
 {
+    const std::shared_ptr<const ShardView> view =
+        cache_ != nullptr ? cache_->peek(shard) : nullptr;
+    return readImageLayer(shard, ids, view.get(), from_cache);
+}
+
+std::vector<ShardRead>
+EnrollmentDb::readRecords(const std::vector<ShardReadGroup> &groups,
+                          ThreadPool &pool)
+{
+    std::vector<ShardRead> out(groups.size());
+    pool.parallelFor(groups.size(), [&](std::size_t g) {
+        const std::shared_ptr<const ShardView> view =
+            cache_ != nullptr ? cache_->resident(groups[g].shard)
+                              : nullptr;
+        out[g].reads = readImageLayer(groups[g].shard, groups[g].ids,
+                                      view.get(), &out[g].fromCache);
+    });
+    // Replay the lookups as accesses, serially in group order: the
+    // reads above changed no residency, so each replay sees exactly
+    // the view its group was served from.
+    if (cache_ != nullptr) {
+        for (const ShardReadGroup &group : groups)
+            cache_->peek(group.shard);
+    }
+    return out;
+}
+
+std::vector<RecordRead>
+EnrollmentDb::readImageLayer(unsigned shard,
+                             const std::vector<std::string> &ids,
+                             const ShardView *view,
+                             bool *from_cache) const
+{
     std::vector<RecordRead> reads(ids.size());
     // Ids the resident view cannot settle, by position in `ids`.
     std::vector<std::size_t> pending;
-    const std::shared_ptr<const ShardView> view =
-        cache_ != nullptr ? cache_->peek(shard) : nullptr;
     for (std::size_t i = 0; i < ids.size(); ++i) {
         if (view == nullptr) {
             pending.push_back(i);

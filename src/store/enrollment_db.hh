@@ -23,7 +23,10 @@
  * intact image. Memory and read IO stay proportional to the records
  * touched — overlays never exceed the flush threshold, and reads
  * (`get`, `readRecords`) fetch a v4 image's header, index and only
- * the wanted record frames instead of materializing the shard.
+ * the wanted record frames instead of materializing the shard. The
+ * batch `readRecords(groups, pool)` reads many shards in parallel and
+ * then applies its cache accesses serially, so the one LRU cache
+ * stays a pure function of the call sequence at any thread count.
  *
  * Storage faults are injected through the same deterministic
  * `FaultInjector` the instruments use: each mutating operation
@@ -53,6 +56,10 @@
 #include "store/shard_cache.hh"
 #include "telemetry/telemetry.hh"
 
+namespace divot {
+class ThreadPool;
+} // namespace divot
+
 namespace divot::store {
 
 /** Tunables for one EnrollmentDb. */
@@ -69,10 +76,6 @@ struct EnrollmentDbConfig
      *  read-per-lookup path (see shard_cache.hh). */
     std::size_t shardCacheBytes = 0;
 
-    /** Cache lane partition; the fleet reconfigures this to its
-     *  reactor-lane count via setShardCacheLanes(). */
-    unsigned shardCacheLanes = 1;
-
     /**
      * Group commit: defer the directory fsync of shard-image renames
      * to one `syncDir` per flush epoch, issued before the journal
@@ -82,6 +85,21 @@ struct EnrollmentDbConfig
      * image, and the still-intact journal replays the difference.
      */
     bool journalGroupCommit = false;
+};
+
+/** One shard's ids in a batch read (EnrollmentDb::readRecords). */
+struct ShardReadGroup
+{
+    unsigned shard = 0;
+    std::vector<std::string> ids;
+};
+
+/** The answer to one ShardReadGroup. */
+struct ShardRead
+{
+    std::vector<RecordRead> reads; //!< one per id, in order
+    bool fromCache = false;        //!< the resident view settled every
+                                   //!< id (no disk read)
 };
 
 /** Outcome of scrubbing one shard. */
@@ -102,10 +120,11 @@ struct ScrubResult
 };
 
 /**
- * The sharded enrollment database. Not thread-safe: callers mutate it
- * from serial sections only (the fleet scheduler's fold phase, bench
+ * The sharded enrollment database. Not thread-safe: callers use it
+ * from serial sections only (the fleet scheduler's event loop, bench
  * enrollment loops), which also keeps the IO-event sequence — and
- * therefore every injected storage fault — deterministic.
+ * therefore every injected storage fault — deterministic. The batch
+ * `readRecords` fans its reads out on the caller's pool itself.
  */
 class EnrollmentDb
 {
@@ -152,15 +171,14 @@ class EnrollmentDb
     DbGetStatus get(const std::string &id, EnrollmentRecord &out);
 
     /**
-     * Batch point read of one shard's *image layer* (pending overlays
-     * are not consulted — the mega-fleet hydrates from durable state
-     * only). A resident decoded view serves the batch when there is
+     * Point read of `ids` from one shard's *image layer* (pending
+     * overlays are not consulted — the mega-fleet hydrates from durable
+     * state only). A resident decoded view serves the ids when there is
      * one (a miss in a *clean* view is a provable Missing); every id
      * it cannot settle is read from disk with `readShardRecords`
      * (header, index, then only the wanted frames, bank B's frame when
      * bank A's fails). Never loads or admits a whole shard: the cache
-     * fills only by write-through. Safe on a lane thread that owns
-     * `shard`'s cache lane (see shard_cache.hh).
+     * fills only by write-through.
      *
      * @param from_cache optionally reports whether the resident view
      *        settled every id (no disk read)
@@ -170,6 +188,21 @@ class EnrollmentDb
     std::vector<RecordRead>
     readRecords(unsigned shard, const std::vector<std::string> &ids,
                 bool *from_cache = nullptr);
+
+    /**
+     * Batch form of `readRecords`: every group is read on `pool`
+     * (groups are claimed dynamically, one shard image per claim).
+     * The concurrent phase only looks resident views up; after the
+     * join the batch's cache accesses — hits, misses, LRU touches,
+     * frequency bumps — are applied serially in group order, so cache
+     * state and counters do not depend on the thread count. Pass each
+     * shard at most once, in ascending order.
+     *
+     * @return one ShardRead per group, in order
+     */
+    std::vector<ShardRead>
+    readRecords(const std::vector<ShardReadGroup> &groups,
+                ThreadPool &pool);
 
     /**
      * Whole-shard decoded read of the *image layer*, for diagnostics
@@ -183,14 +216,6 @@ class EnrollmentDb
      */
     std::shared_ptr<const ShardView> shardView(unsigned shard,
                                                bool *from_cache = nullptr);
-
-    /**
-     * Re-partition the decoded-image cache into `lanes` lanes (shard s
-     * belongs to lane s % lanes; see shard_cache.hh for the lane
-     * threading discipline). Drops all cached views. No-op without a
-     * cache.
-     */
-    void setShardCacheLanes(unsigned lanes);
 
     /** @return cache counters (zeroes when no cache is configured). */
     ShardCacheStats cacheStats() const;
@@ -266,6 +291,11 @@ class EnrollmentDb
     bool flushShard(unsigned shard, const StorageFault &fault);
     /** Decode `shard`'s image into `view`; false when no file. */
     bool loadShardView(unsigned shard, ShardView &view);
+    /** `readRecords` against an already looked-up resident `view`
+     *  (null when none); touches neither the cache nor telemetry. */
+    std::vector<RecordRead>
+    readImageLayer(unsigned shard, const std::vector<std::string> &ids,
+                   const ShardView *view, bool *from_cache) const;
     /**
      * Settle every deferred sync of the group-commit epoch: fdatasync
      * each shard image written with a deferred data sync, then the

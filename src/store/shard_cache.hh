@@ -24,12 +24,14 @@
  *    0% hits (every miss evicts the entry the scan needs next);
  *    admission control instead pins a stable hot subset and serves
  *    budget/working-set of the traffic from memory.
- *  - Lane partition: with `lanes = K`, shard s belongs to lane
- *    s % K, with its own LRU list and budget share. Calls touching
- *    lane k's shards must all come from the thread driving lane k
- *    (the reactor-lane discipline); the cache itself takes no locks,
- *    so the access order per lane — and with it every admission and
- *    eviction decision — is deterministic at any thread count.
+ *  - Batch reads: `resident` looks a view up without touching LRU
+ *    order, frequency or counters, so the concurrent phase of
+ *    `EnrollmentDb::readRecords(groups, pool)` may call it from any
+ *    thread while no writer runs; the store then replays the batch's
+ *    accesses through `peek`, serially and in ascending shard order.
+ *    The cache takes no locks, and every admission and eviction
+ *    decision — with every counter — is a pure function of the access
+ *    sequence, hence of (seed, config) at any thread count.
  *
  * Coherence contract: the cache belongs to the EnrollmentDb, which
  * updates it (write-through) whenever it rewrites a shard image and
@@ -85,10 +87,9 @@ struct ShardCacheConfig
 {
     std::size_t budgetBytes = 0; //!< decoded-image budget; 0 disables
     unsigned shards = 1;         //!< shard-index space (fixed)
-    unsigned lanes = 1;          //!< lane partition (see file header)
 };
 
-/** Aggregate counters (summed over lanes). */
+/** Cache counters. */
 struct ShardCacheStats
 {
     uint64_t hits = 0;
@@ -105,8 +106,8 @@ struct ShardCacheStats
 };
 
 /**
- * The byte-budgeted, admission-filtered, lane-partitioned cache of
- * decoded shard images.
+ * The byte-budgeted, admission-filtered LRU cache of decoded shard
+ * images.
  */
 class ShardImageCache
 {
@@ -136,6 +137,17 @@ class ShardImageCache
     std::shared_ptr<const ShardView> peek(unsigned shard);
 
     /**
+     * Return `shard`'s resident view, or null, with no side effect at
+     * all (no LRU touch, no frequency bump, no counter). Safe to call
+     * concurrently while no other member runs; the caller replays the
+     * access through `peek` afterwards.
+     */
+    std::shared_ptr<const ShardView> resident(unsigned shard) const
+    {
+        return entries_[shard].view;
+    }
+
+    /**
      * Write-through: the db rewrote `shard`'s image and `view` is its
      * exact new decoded content. Replaces the resident entry (or
      * attempts admission like an access would).
@@ -145,21 +157,10 @@ class ShardImageCache
     /** Drop `shard`'s entry (damage landed on the image). */
     void invalidate(unsigned shard);
 
-    /** Drop everything (reopen, lane re-partition). */
-    void invalidateAll();
-
-    /**
-     * Re-partition into `lanes` lanes. Drops every entry: per-lane
-     * LRU state cannot be split deterministically, and the callers
-     * that re-partition (attachStore, fleet construction) run before
-     * the traffic the determinism contract covers.
-     */
-    void configureLanes(unsigned lanes);
-
     const ShardCacheConfig &config() const { return config_; }
 
-    /** @return counters summed across lanes (serial sections only). */
-    ShardCacheStats stats() const;
+    /** @return the counters (serial sections only). */
+    ShardCacheStats stats() const { return stats_; }
 
     /** Register the store.cache.* counters (all Unstable). */
     void attachTelemetry(Telemetry *telemetry);
@@ -172,24 +173,17 @@ class ShardImageCache
         uint32_t frequency = 0; //!< saturating access count
     };
 
-    struct Lane
-    {
-        std::list<unsigned> lru; //!< front = hottest
-        std::size_t bytes = 0;
-        std::size_t budget = 0;
-        ShardCacheStats stats;
-    };
-
-    Lane &laneOf(unsigned shard) { return lanes_[shard % lanes_.size()]; }
-    void evict(Lane &lane, unsigned shard);
+    /** Unlink `shard`'s resident view (no counter). */
+    void drop(unsigned shard);
+    /** Move `shard` to the hot end and bump its frequency. */
+    void touch(unsigned shard);
     /** Try to make room for and insert `view`; false = rejected. */
-    bool admit(Lane &lane, unsigned shard,
-               std::shared_ptr<const ShardView> view);
-    void rebuildLanes(unsigned lanes);
+    bool admit(unsigned shard, std::shared_ptr<const ShardView> view);
 
     ShardCacheConfig config_;
     std::vector<Entry> entries_; //!< indexed by shard
-    std::vector<Lane> lanes_;
+    std::list<unsigned> lru_;    //!< front = hottest
+    ShardCacheStats stats_;      //!< bytes = resident decoded bytes
     Counter tmHits_;
     Counter tmMisses_;
     Counter tmAdmissions_;

@@ -5,6 +5,12 @@
  * budget, unrecoverable records must demote their channel to
  * PendingReenroll (fencing the wire, not the fleet), and the idle
  * scrub hook must run on spare instrument slots.
+ *
+ * FleetStoreDeterminism: store-backed runs — hydration churn, lost
+ * records, storage bit rot, and a shard cache smaller than its
+ * working set — must be bit-identical at every thread count, in the
+ * ChannelScheduler's rounds and stable export and in the MegaFleet's
+ * digests and cache state.
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +19,10 @@
 #include <string>
 #include <vector>
 
+#include "fault/fault.hh"
 #include "fleet/channel_scheduler.hh"
+#include "fleet/megafleet.hh"
+#include "service/request.hh"
 #include "store/enrollment_db.hh"
 #include "store/io.hh"
 
@@ -31,11 +40,11 @@ quickChannel(std::size_t index)
 }
 
 std::string
-freshDbDir(const char *name)
+freshDbDir(const std::string &name)
 {
     const std::string dir = std::string(::testing::TempDir()) + name;
     store::ensureDir(dir);
-    for (unsigned s = 0; s < 8; ++s) {
+    for (unsigned s = 0; s < 64; ++s) {
         const std::string shard =
             dir + "/shard-" + std::to_string(s) + ".bin";
         store::removeFile(shard);
@@ -218,6 +227,238 @@ TEST(FleetHydration, StoreCountersOnlyRegisterWithStore)
                           "store.hydrates") != names.end());
     EXPECT_TRUE(std::find(names.begin(), names.end(),
                           "store.puts") != names.end());
+}
+
+// --------------------------------------------------------------------
+// FleetStoreDeterminism
+
+/** One store-backed fleet run: per-tick rounds + stable export. */
+struct StoreRun
+{
+    std::vector<FleetRound> rounds;
+    std::string stableExport;
+    int64_t queuePeak = 0;
+};
+
+StoreRun
+runStoreFleet(const std::string &tag, unsigned threads, int ticks,
+              const FaultInjector *injector = nullptr,
+              const std::vector<std::string> &eraseFirst = {})
+{
+    FleetConfig cfg;
+    cfg.instruments = 2;
+    cfg.policy = SchedulerPolicy::RoundRobin;
+    cfg.threads = threads;
+    ChannelScheduler fleet(cfg, Rng(42));
+    for (std::size_t c = 0; c < 6; ++c)
+        fleet.addChannel(quickChannel(c));
+    fleet.calibrateAll();
+
+    const std::string dir =
+        freshDbDir(tag + "_t" + std::to_string(threads));
+    store::EnrollmentDb db(dbConfig(dir));
+    if (injector != nullptr)
+        db.attachFaultInjector(injector);
+    EXPECT_TRUE(db.open());
+    // Tiny budget: every unpinned enrollment evicts each tick, so
+    // every tick drains a full hydration wave.
+    fleet.attachStore(&db, 1);
+    for (const std::string &id : eraseFirst) {
+        EXPECT_TRUE(db.erase(id));
+        // Drop the resident copy too so the loss surfaces as a failed
+        // hydration, not a quiet in-memory hit.
+        for (std::size_t c = 0; c < 6; ++c)
+            if (fleet.channel(c).name() == id)
+                fleet.channel(c).releaseEnrollment();
+    }
+
+    StoreRun run;
+    for (int t = 0; t < ticks; ++t)
+        run.rounds.push_back(fleet.tick());
+    run.stableExport = fleet.telemetry().exportJson();
+    run.queuePeak = fleet.telemetry().registry().gaugeValue(
+        "fleet.reactor.queue.peak");
+    return run;
+}
+
+void
+expectSameRounds(const StoreRun &a, const StoreRun &b)
+{
+    ASSERT_EQ(a.rounds.size(), b.rounds.size());
+    for (std::size_t t = 0; t < a.rounds.size(); ++t) {
+        const FleetRound &ra = a.rounds[t];
+        const FleetRound &rb = b.rounds[t];
+        ASSERT_EQ(ra.probes.size(), rb.probes.size()) << "tick " << t;
+        for (std::size_t p = 0; p < ra.probes.size(); ++p) {
+            EXPECT_EQ(ra.probes[p].channel, rb.probes[p].channel)
+                << "tick " << t << " probe " << p;
+            EXPECT_EQ(ra.probes[p].verdict.similarity,
+                      rb.probes[p].verdict.similarity)
+                << "tick " << t << " probe " << p;
+        }
+        EXPECT_EQ(ra.fused.fusedSimilarity, rb.fused.fusedSimilarity)
+            << "tick " << t;
+        EXPECT_EQ(ra.fused.busTrusted, rb.fused.busTrusted);
+        EXPECT_EQ(ra.fused.pendingReenrollWires,
+                  rb.fused.pendingReenrollWires);
+    }
+}
+
+TEST(FleetStoreDeterminism, VerdictsInvariantAcrossThreadCounts)
+{
+    const StoreRun base = runStoreFleet("det_clean", 1, 8);
+    for (unsigned threads : {2u, 4u}) {
+        const StoreRun run = runStoreFleet("det_clean", threads, 8);
+        expectSameRounds(base, run);
+        EXPECT_EQ(base.stableExport, run.stableExport)
+            << "threads " << threads;
+    }
+}
+
+TEST(FleetStoreDeterminism, QueuePeakGaugeIsThreadInvariant)
+{
+    const StoreRun one = runStoreFleet("det_peak", 1, 6);
+    EXPECT_GT(one.queuePeak, 0);
+    for (unsigned threads : {2u, 4u})
+        EXPECT_EQ(one.queuePeak,
+                  runStoreFleet("det_peak", threads, 6).queuePeak)
+            << "threads " << threads;
+}
+
+TEST(FleetStoreDeterminism, LostRecordDemotionOrderIsThreadInvariant)
+{
+    // Two wires lose their durable records before the first tick;
+    // both demotions (and the "store.lost" fencing events they emit)
+    // must land identically at every thread count.
+    const std::vector<std::string> lost = {"wire1", "wire4"};
+    const StoreRun base = runStoreFleet("det_lost", 1, 8, nullptr, lost);
+    // pendingReenrollWires reports the currently-fenced population;
+    // by the last round both losses have been discovered and fenced.
+    EXPECT_EQ(base.rounds.back().fused.pendingReenrollWires,
+              lost.size());
+    for (unsigned threads : {2u, 4u}) {
+        const StoreRun run =
+            runStoreFleet("det_lost", threads, 8, nullptr, lost);
+        expectSameRounds(base, run);
+        EXPECT_EQ(base.stableExport, run.stableExport)
+            << "threads " << threads;
+    }
+}
+
+TEST(FleetStoreDeterminism, FaultedHydrationIsThreadInvariant)
+{
+    // Storage bit rot lands on shard images during enrollment; the
+    // damaged-image salvage (or demotion) must match the serial run
+    // bit for bit.
+    FaultPlan plan;
+    plan.storageBitRot(3, 4, 6.0).storageBitRot(9, 3, 4.0);
+    const FaultInjector injector(plan, Rng(17));
+    const StoreRun base = runStoreFleet("det_fault", 1, 8, &injector);
+    for (unsigned threads : {2u, 4u}) {
+        const StoreRun run =
+            runStoreFleet("det_fault", threads, 8, &injector);
+        expectSameRounds(base, run);
+        EXPECT_EQ(base.stableExport, run.stableExport)
+            << "threads " << threads;
+    }
+}
+
+TEST(FleetStoreDeterminism, MegaFleetDigestIsThreadInvariant)
+{
+    auto digest = [](unsigned threads) {
+        MegaFleetConfig cfg;
+        cfg.channels = 96;
+        cfg.fingerprintBins = 8;
+        cfg.probesPerTick = 16;
+        cfg.threads = threads;
+        cfg.store.directory =
+            freshDbDir("det_mega_t" + std::to_string(threads));
+        cfg.store.shards = 8;
+        cfg.store.overlayFlushRecords = 8;
+        cfg.store.shardCacheBytes = 1u << 20;
+        cfg.telemetry.enabled = false;
+        MegaFleet fleet(cfg, Rng(21));
+        EXPECT_EQ(fleet.enrollAll(), 96u);
+        return fleet.run(8).verdictDigest;
+    };
+    const uint64_t one = digest(1);
+    EXPECT_NE(one, 0u);
+    for (unsigned threads : {2u, 4u, 8u})
+        EXPECT_EQ(one, digest(threads)) << "threads " << threads;
+}
+
+TEST(FleetStoreDeterminism, ShardCacheStateIsThreadInvariant)
+{
+    // A 256 KiB cache against a larger decoded working set, with one
+    // Reenroll per tick rewriting a shard image (write-through
+    // admissions that must evict). Shard groups hydrate concurrently,
+    // so every cache decision — and every counter — must come from
+    // the serial replay of the batch's accesses, never from thread
+    // timing.
+    constexpr std::size_t kChannels = 1000;
+    constexpr std::size_t kBudget = 256u << 10;
+    struct Outcome
+    {
+        store::ShardCacheStats cache;
+        std::size_t peakResident = 0;
+        uint64_t verdicts = 0;
+        uint64_t responses = 0;
+    };
+    auto drive = [&](unsigned threads) {
+        MegaFleetConfig cfg;
+        cfg.channels = kChannels;
+        cfg.fingerprintBins = 32;
+        cfg.probesPerTick = 128;
+        cfg.threads = threads;
+        cfg.store.directory =
+            freshDbDir("det_cache_t" + std::to_string(threads));
+        cfg.store.shards = 32;
+        cfg.store.overlayFlushRecords = 1; // every put rewrites
+        cfg.store.journalGroupCommit = true;
+        cfg.store.shardCacheBytes = kBudget;
+        cfg.telemetry.enabled = false;
+        MegaFleet fleet(cfg, Rng(99));
+        EXPECT_EQ(fleet.enrollAll(), kChannels);
+        for (uint64_t t = 0; t < 16; ++t) {
+            service::ServiceRequest rq;
+            rq.id = t + 1;
+            rq.kind = service::RequestKind::Reenroll;
+            rq.channel = MegaFleet::channelId((t * 131) % kChannels);
+            fleet.submit(rq);
+            fleet.tick();
+            fleet.drainResponses();
+        }
+        Outcome out;
+        out.cache = fleet.db().cacheStats();
+        out.peakResident = fleet.report().peakResidentBytes;
+        out.verdicts = fleet.report().verdictDigest;
+        out.responses = fleet.responseDigest();
+        return out;
+    };
+
+    const Outcome base = drive(1);
+    // The budget really is below the working set: lookups both hit
+    // and miss, and admissions had to evict.
+    EXPECT_GT(base.cache.hits, 0u);
+    EXPECT_GT(base.cache.misses, 0u);
+    EXPECT_GT(base.cache.evictions, 0u);
+    EXPECT_LE(base.cache.peakBytes, kBudget);
+    for (unsigned threads : {2u, 4u, 8u}) {
+        const Outcome o = drive(threads);
+        EXPECT_EQ(o.cache.hits, base.cache.hits) << threads;
+        EXPECT_EQ(o.cache.misses, base.cache.misses) << threads;
+        EXPECT_EQ(o.cache.admissions, base.cache.admissions) << threads;
+        EXPECT_EQ(o.cache.rejections, base.cache.rejections) << threads;
+        EXPECT_EQ(o.cache.evictions, base.cache.evictions) << threads;
+        EXPECT_EQ(o.cache.updates, base.cache.updates) << threads;
+        EXPECT_EQ(o.cache.invalidations, base.cache.invalidations)
+            << threads;
+        EXPECT_EQ(o.cache.bytes, base.cache.bytes) << threads;
+        EXPECT_EQ(o.cache.peakBytes, base.cache.peakBytes) << threads;
+        EXPECT_EQ(o.peakResident, base.peakResident) << threads;
+        EXPECT_EQ(o.verdicts, base.verdicts) << threads;
+        EXPECT_EQ(o.responses, base.responses) << threads;
+    }
 }
 
 } // namespace

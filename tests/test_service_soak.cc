@@ -43,7 +43,7 @@ struct SoakResult
 };
 
 SoakResult
-runSoak(unsigned threads, unsigned lanes, const char *tag)
+runSoak(unsigned threads, const char *tag)
 {
     MegaFleetConfig cfg;
     cfg.channels = 3000;
@@ -54,7 +54,6 @@ runSoak(unsigned threads, unsigned lanes, const char *tag)
     cfg.store.directory = std::string(::testing::TempDir()) +
         "svc_soak_" + tag;
     cfg.threads = threads;
-    cfg.reactorLanes = lanes;
     cfg.telemetry.enabled = false;
     store::ensureDir(cfg.store.directory);
     for (unsigned s = 0; s < cfg.store.shards; ++s) {
@@ -141,8 +140,8 @@ runSoak(unsigned threads, unsigned lanes, const char *tag)
 
 TEST(ServiceSoak, FaultedRequestStreamConvergesWithZeroJunk)
 {
-    const SoakResult serial = runSoak(1, 1, "serial");
-    const SoakResult pooled = runSoak(0, 0, "pooled");
+    const SoakResult serial = runSoak(1, "serial");
+    const SoakResult pooled = runSoak(0, "pooled");
 
     // The campaign actually fired: the store crash-reopened at least
     // once while traffic was flowing.

@@ -2,16 +2,18 @@
  * @file
  * Tests for the ShardImageCache and its EnrollmentDb integration: the
  * byte budget holds under any access pattern, frequency-based
- * admission pins a hot subset where plain LRU would thrash, per-lane
- * decisions are a pure function of the per-lane access sequence
- * (interleaving-independent — the property the reactor-lane threading
- * discipline relies on), write-through and damage invalidation keep
- * the cache coherent with the image layer, and the stable telemetry
- * export is byte-identical with the cache on or off.
+ * admission pins a hot subset where plain LRU would thrash, a
+ * side-effect-free `resident` lookup leaves every decision to the
+ * serial replay, a parallel batch read answers and decides exactly
+ * like serial per-shard reads, write-through and damage invalidation
+ * keep the cache coherent with the image layer, and the stable
+ * telemetry export is byte-identical with the cache on or off.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -22,6 +24,7 @@
 #include "store/shard_cache.hh"
 #include "telemetry/telemetry.hh"
 #include "util/rng.hh"
+#include "util/thread_pool.hh"
 
 namespace divot::store {
 namespace {
@@ -151,49 +154,31 @@ TEST(ShardCache, OversizedViewServedTransientlyNeverStored)
     EXPECT_GT(cache.stats().rejections, 0u);
 }
 
-/**
- * The lane-threading contract: every admission/eviction decision for
- * lane k depends only on lane k's own access order, so any global
- * interleaving of the per-lane sequences — which is exactly what
- * running lanes on different threads produces — reaches the same
- * final state.
- */
-TEST(ShardCache, LaneDecisionsIndependentOfInterleaving)
+TEST(ShardCache, ResidentLookupHasNoSideEffects)
 {
     const std::size_t unit = oneViewBytes();
     ShardCacheConfig cfg;
-    cfg.shards = 8;
-    cfg.lanes = 2;
-    cfg.budgetBytes = 4 * unit; // two views per lane
-    // Lane 0 owns even shards, lane 1 odd shards.
-    const std::vector<unsigned> lane0 = {0, 2, 4, 0, 6, 0, 2};
-    const std::vector<unsigned> lane1 = {1, 3, 1, 5, 7, 1, 3};
+    cfg.shards = 4;
+    cfg.budgetBytes = 2 * unit;
+    ShardImageCache cache(cfg);
+    ASSERT_NE(cache.acquire(0, loaderFor(0)), nullptr);
+    ASSERT_NE(cache.acquire(1, loaderFor(1)), nullptr);
 
-    // Sequential: all of lane 0, then all of lane 1.
-    ShardImageCache seq(cfg);
-    for (unsigned s : lane0)
-        ASSERT_NE(seq.acquire(s, loaderFor(s)), nullptr);
-    for (unsigned s : lane1)
-        ASSERT_NE(seq.acquire(s, loaderFor(s)), nullptr);
-
-    // Interleaved: alternate between the lanes' sequences.
-    ShardImageCache mix(cfg);
-    for (std::size_t i = 0; i < lane0.size(); ++i) {
-        ASSERT_NE(mix.acquire(lane0[i], loaderFor(lane0[i])), nullptr);
-        ASSERT_NE(mix.acquire(lane1[i], loaderFor(lane1[i])), nullptr);
+    const ShardCacheStats before = cache.stats();
+    for (int i = 0; i < 8; ++i) {
+        EXPECT_NE(cache.resident(0), nullptr);
+        EXPECT_EQ(cache.resident(2), nullptr);
     }
+    const ShardCacheStats after = cache.stats();
+    EXPECT_EQ(after.hits, before.hits);
+    EXPECT_EQ(after.misses, before.misses);
 
-    for (unsigned s = 0; s < cfg.shards; ++s)
-        EXPECT_EQ(seq.peek(s) != nullptr, mix.peek(s) != nullptr)
-            << "shard " << s;
-    const ShardCacheStats a = seq.stats();
-    const ShardCacheStats b = mix.stats();
-    EXPECT_EQ(a.hits, b.hits);
-    EXPECT_EQ(a.misses, b.misses);
-    EXPECT_EQ(a.admissions, b.admissions);
-    EXPECT_EQ(a.rejections, b.rejections);
-    EXPECT_EQ(a.evictions, b.evictions);
-    EXPECT_EQ(a.bytes, b.bytes);
+    // Shard 0 is still the LRU victim at its old frequency: had the
+    // lookups touched it, shard 1 would be the one evicted.
+    ASSERT_NE(cache.acquire(2, loaderFor(2)), nullptr);
+    EXPECT_EQ(cache.resident(0), nullptr);
+    EXPECT_NE(cache.resident(1), nullptr);
+    EXPECT_NE(cache.resident(2), nullptr);
 }
 
 // --------------------------------------------------------------------
@@ -296,6 +281,86 @@ TEST(ShardCacheDb, RotInvalidatesAndScrubRewriteRefreshes)
         EXPECT_EQ(db.get("rot" + std::to_string(i), out),
                   DbGetStatus::Ok);
     }
+}
+
+TEST(ShardCacheDb, BatchReadMatchesSerialReads)
+{
+    // Two identical dbs whose cache holds only part of the shard set:
+    // one is read group by group, the other through the parallel batch
+    // call. Every answer and every cache decision must agree, also
+    // after write-through rewrites that evict by the replayed order.
+    auto filled = [](const char *name) {
+        EnrollmentDbConfig cfg;
+        cfg.directory = freshDir(name);
+        cfg.shards = 8;
+        cfg.shardCacheBytes = 12 * oneViewBytes();
+        auto db = std::make_unique<EnrollmentDb>(cfg);
+        EXPECT_TRUE(db->open());
+        for (int i = 0; i < 40; ++i)
+            EXPECT_TRUE(db->put(testRecord("b" + std::to_string(i), i)));
+        EXPECT_TRUE(db->checkpoint());
+        return db;
+    };
+    const std::unique_ptr<EnrollmentDb> serial = filled("cache_batch_s");
+    const std::unique_ptr<EnrollmentDb> batch = filled("cache_batch_b");
+
+    std::map<unsigned, std::vector<std::string>> byShard;
+    for (int i = 0; i < 40; ++i) {
+        const std::string id = "b" + std::to_string(i);
+        byShard[serial->shardOf(id)].push_back(id);
+    }
+    for (int i = 0; i < 8; ++i) {
+        const std::string id = "absent" + std::to_string(i);
+        byShard[serial->shardOf(id)].push_back(id);
+    }
+    std::vector<ShardReadGroup> groups;
+    for (const auto &[shard, ids] : byShard)
+        groups.push_back(ShardReadGroup{shard, ids});
+
+    ThreadPool pool(4);
+    for (int round = 0; round < 3; ++round) {
+        const std::vector<ShardRead> got = batch->readRecords(groups, pool);
+        ASSERT_EQ(got.size(), groups.size());
+        for (std::size_t g = 0; g < groups.size(); ++g) {
+            bool fromCache = false;
+            const std::vector<RecordRead> want = serial->readRecords(
+                groups[g].shard, groups[g].ids, &fromCache);
+            EXPECT_EQ(got[g].fromCache, fromCache) << "shard "
+                                                   << groups[g].shard;
+            ASSERT_EQ(got[g].reads.size(), want.size());
+            for (std::size_t k = 0; k < want.size(); ++k) {
+                EXPECT_EQ(got[g].reads[k].status, want[k].status)
+                    << groups[g].ids[k];
+                EXPECT_EQ(got[g].reads[k].record.id, want[k].record.id);
+                EXPECT_EQ(got[g].reads[k].record.generation,
+                          want[k].record.generation);
+            }
+        }
+        // Rewrite two shards between rounds: their write-through
+        // admissions evict whatever the replayed reads left coldest.
+        for (EnrollmentDb *db : {serial.get(), batch.get()}) {
+            EnrollmentRecord fresh = testRecord("b" + std::to_string(round),
+                                                100.0 + round);
+            fresh.generation = 2 + round;
+            ASSERT_TRUE(db->put(fresh));
+            ASSERT_TRUE(db->put(testRecord(
+                "b" + std::to_string(20 + round), 200.0 + round)));
+            ASSERT_TRUE(db->checkpoint());
+        }
+    }
+    const ShardCacheStats a = serial->cacheStats();
+    const ShardCacheStats b = batch->cacheStats();
+    EXPECT_GT(a.hits, 0u);
+    EXPECT_GT(a.misses, 0u);
+    EXPECT_GT(a.evictions, 0u);
+    EXPECT_EQ(a.hits, b.hits);
+    EXPECT_EQ(a.misses, b.misses);
+    EXPECT_EQ(a.admissions, b.admissions);
+    EXPECT_EQ(a.rejections, b.rejections);
+    EXPECT_EQ(a.evictions, b.evictions);
+    EXPECT_EQ(a.updates, b.updates);
+    EXPECT_EQ(a.bytes, b.bytes);
+    EXPECT_EQ(a.peakBytes, b.peakBytes);
 }
 
 TEST(ShardCacheDb, StableExportIdenticalCacheOnOff)
