@@ -81,6 +81,27 @@ parseOptions(int argc, char **argv)
 }
 
 /**
+ * The label a --json run files its BENCH_study_throughput.json record
+ * under, from DIVOT_BENCH_LABEL. An unlabelled record cannot be told
+ * apart from any other run in the committed trajectory, so --json
+ * without a label exits 2 before doing any work. Empty without --json.
+ */
+inline std::string
+benchLabel(const Options &opt)
+{
+    if (!opt.json)
+        return {};
+    const char *label = std::getenv("DIVOT_BENCH_LABEL");
+    if (label == nullptr || *label == '\0') {
+        std::fprintf(stderr,
+                     "--json appends a record to the committed perf "
+                     "trajectory: set DIVOT_BENCH_LABEL to name it\n");
+        std::exit(2);
+    }
+    return label;
+}
+
+/**
  * Re-indent a standalone Telemetry::exportJson() document so it nests
  * cleanly as a value inside a hand-written BENCH_<name>.json report.
  */

@@ -26,7 +26,7 @@
  *
  * Cross-PR tracking: --json appends a {"bench": "megafleet"} record
  * to BENCH_study_throughput.json (the committed perf trajectory;
- * label from DIVOT_BENCH_LABEL, else "local"); --gate compares
+ * label from DIVOT_BENCH_LABEL, which --json requires); --gate compares
  * enroll/probe throughput against the last committed megafleet record
  * and fails below 85%.
  */
@@ -81,6 +81,7 @@ struct RunResult
     uint64_t cleanTicks = 0; //!< ticks whose bus verdict was trusted
     uint64_t junkTicks = 0;  //!< ticks authenticated below the bar or
                              //!< alarmed by an undamaged fleet
+    std::size_t fenced = 0;  //!< channels fenced after the last tick
 };
 
 /** Outcome of a request-service run (the PR10 front-end leg). */
@@ -303,6 +304,7 @@ runFleet(const MegaFleetConfig &base, const std::string &dir,
     }
     r.tickSeconds = now() - t0;
     r.report = fleet.report();
+    r.fenced = fleet.fencedChannels();
     return r;
 }
 
@@ -400,6 +402,7 @@ main(int argc, char **argv)
     using namespace divot::bench;
 
     const Options opt = parseOptions(argc, argv);
+    const std::string label = benchLabel(opt);
 
     MegaFleetConfig base;
     uint64_t ticks = 6;
@@ -568,7 +571,8 @@ main(int argc, char **argv)
                  &injector);
 
     std::printf("\nfault campaign (%zu channels): enrolled %llu, "
-                "%llu crash recoveries, %llu pending-reenroll, "
+                "%llu crash recoveries, %llu pending-reenroll "
+                "(%llu fenced at enrollment, %llu lost after), "
                 "junk ticks %llu\n",
                 campaign.channels,
                 static_cast<unsigned long long>(
@@ -577,6 +581,10 @@ main(int argc, char **argv)
                     faultSerial.report.crashRecoveries),
                 static_cast<unsigned long long>(
                     faultSerial.report.pendingReenroll),
+                static_cast<unsigned long long>(
+                    faultSerial.report.fencedAtEnroll),
+                static_cast<unsigned long long>(
+                    faultSerial.report.lostAfterEnroll),
                 static_cast<unsigned long long>(
                     faultSerial.junkTicks));
 
@@ -588,11 +596,17 @@ main(int argc, char **argv)
     // looking garbage. Surviving wires keep the bus authenticated.
     const bool junk_pass = faultSerial.junkTicks == 0 &&
         faultPooled.junkTicks == 0;
+    // Every channel is counted once: enrollment either lands its
+    // record or fences it, and every later loss fences one distinct
+    // enrolled channel (nothing re-enrolls in this leg).
     const bool recovery_pass =
         faultSerial.report.crashRecoveries >= 2 &&
         faultSerial.report.enrolled +
-                faultSerial.report.pendingReenroll ==
-            campaign.channels;
+                faultSerial.report.fencedAtEnroll ==
+            campaign.channels &&
+        faultSerial.report.fencedAtEnroll +
+                faultSerial.report.lostAfterEnroll ==
+            faultSerial.fenced;
     std::printf("determinism gate (faulted, 1 thread vs N threads): "
                 "%s (digest %016llx)\n",
                 fault_determinism_pass ? "PASS" : "FAIL",
@@ -693,11 +707,9 @@ main(int argc, char **argv)
     }
 
     if (opt.json) {
-        const char *label = std::getenv("DIVOT_BENCH_LABEL");
         std::string r;
         appendf(r, "  {\n");
-        appendf(r, "    \"label\": \"%s\",\n",
-                label != nullptr && *label != '\0' ? label : "local");
+        appendf(r, "    \"label\": \"%s\",\n", label.c_str());
         appendf(r, "    \"bench\": \"megafleet\",\n");
         appendf(r, "    \"seed\": %llu,\n",
                 static_cast<unsigned long long>(opt.seed));

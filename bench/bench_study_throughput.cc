@@ -19,7 +19,7 @@
  * the working directory — CI runs from the repo root where it is
  * checked in) holds a top-level ARRAY of run records, one per PR.
  * --json APPENDS this run as a new record (label from
- * DIVOT_BENCH_LABEL, else "local"); --gate compares this run's
+ * DIVOT_BENCH_LABEL, which --json requires); --gate compares this run's
  * throughput rows against the LAST committed record and fails the
  * bench when any tracked row drops below 85% of it.
  */
@@ -148,17 +148,16 @@ readWholeFile(const char *path)
  * the perf trajectory distinguishes AVX2 hosts from scalar ones.
  */
 std::string
-buildRecord(const Options &opt, unsigned workers,
+buildRecord(const Options &opt, const std::string &label,
+            unsigned workers,
             const std::vector<const Timed *> &rows, double legacy_rate,
             double eer_delta_serial, double eer_delta_multiwire,
             double eer_tolerance, bool equivalence_pass,
             bool determinism_pass)
 {
-    const char *label = std::getenv("DIVOT_BENCH_LABEL");
     std::string r;
     appendf(r, "  {\n");
-    appendf(r, "    \"label\": \"%s\",\n",
-            label != nullptr && *label != '\0' ? label : "local");
+    appendf(r, "    \"label\": \"%s\",\n", label.c_str());
     appendf(r, "    \"bench\": \"study_throughput\",\n");
     appendf(r, "    \"seed\": %llu,\n",
             static_cast<unsigned long long>(opt.seed));
@@ -281,6 +280,7 @@ int
 benchMain(int argc, char **argv)
 {
     const Options opt = parseOptions(argc, argv);
+    const std::string label = benchLabel(opt);
     banner("PERF.study_throughput",
            "study driver measurements/second: serial vs pool vs "
            "pre-optimization vs analytic strobe engine",
@@ -483,10 +483,10 @@ benchMain(int argc, char **argv)
 
     if (opt.json) {
         appendRecord(record_path,
-                     buildRecord(opt, workers, rows, rate(t_legacy),
-                                 eer_delta_serial, eer_delta_multi,
-                                 eer_tolerance, equivalence_pass,
-                                 determinism_pass));
+                     buildRecord(opt, label, workers, rows,
+                                 rate(t_legacy), eer_delta_serial,
+                                 eer_delta_multi, eer_tolerance,
+                                 equivalence_pass, determinism_pass));
     }
     return determinism_pass && equivalence_pass && gate_pass ? 0 : 1;
 }

@@ -261,6 +261,7 @@ MegaFleet::enrollAll()
                            ++failures[shard] == 4) {
                     for (const std::size_t i : members[shard])
                         slots_[i].state = 1;
+                    report_.fencedAtEnroll += members[shard].size();
                     report_.pendingReenroll += members[shard].size();
                     tmPending_.add(members[shard].size());
                 } else {
@@ -279,6 +280,14 @@ MegaFleet::enrollAll()
             reopenDb();
     }
     return report_.enrolled;
+}
+
+std::size_t
+MegaFleet::fencedChannels() const
+{
+    return static_cast<std::size_t>(
+        std::count_if(slots_.begin(), slots_.end(),
+                      [](const ChannelSlot &s) { return s.state != 0; }));
 }
 
 std::size_t
@@ -509,6 +518,7 @@ MegaFleet::tick()
             // Missing or damaged in every bank: fence the channel
             // instead of authenticating junk.
             slots_[i].state = 1;
+            ++report_.lostAfterEnroll;
             ++report_.pendingReenroll;
             ++pendingThisTick;
             tmPending_.add();

@@ -104,12 +104,20 @@ struct MegaFleetConfig
 /** Summary of a MegaFleet run. */
 struct MegaFleetReport
 {
-    uint64_t enrolled = 0;       //!< records durably enrolled
+    uint64_t enrolled = 0;       //!< records durably enrolled by
+                                 //!< enrollAll
+    uint64_t fencedAtEnroll = 0; //!< channels enrollAll fenced (their
+                                 //!< shard commit never landed)
+    uint64_t lostAfterEnroll = 0; //!< channels fenced later, when their
+                                  //!< durable record turned out lost
+                                  //!< in every bank
     uint64_t crashRecoveries = 0; //!< db reopen+replay cycles survived
     uint64_t ticks = 0;          //!< monitoring ticks executed
     uint64_t probes = 0;         //!< per-wire probes performed
     uint64_t hydrates = 0;       //!< records hydrated from shards
-    uint64_t pendingReenroll = 0; //!< channels fenced (records lost)
+    uint64_t pendingReenroll = 0; //!< channels fenced, either cause
+                                  //!< (fencedAtEnroll +
+                                  //!< lostAfterEnroll)
     bool lastTrusted = false;    //!< busTrusted after the final tick
     double lastFusedSimilarity = 0.0; //!< fused score, final tick
     uint64_t verdictDigest = 0;  //!< FNV-1a over every fused verdict
@@ -168,6 +176,12 @@ class MegaFleet
 
     /** @return the running report (valid any time). */
     const MegaFleetReport &report() const { return report_; }
+
+    /** @return channels fenced right now (PendingReenroll). Until a
+     *  re-enrollment lifts a fence, this equals
+     *  report().pendingReenroll: each fence lands on a distinct
+     *  channel. */
+    std::size_t fencedChannels() const;
 
     /** @return the backing database (open; may have been reopened). */
     store::EnrollmentDb &db() { return *db_; }

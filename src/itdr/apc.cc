@@ -116,35 +116,19 @@ ApcInverseTable::ApcInverseTable(const std::vector<double> &levels,
         ones += tail[i];
         cdf_[i] = (cdf_[i] + ones) * inv_count;
     }
-    cdfFront_ = cdf_.front();
-    cdfBack_ = cdf_.back();
-    constexpr std::size_t kDirEntries = 32;
-    dirStep_ = (grid + kDirEntries - 1) / kDirEntries;
-    dir_.clear();
-    for (std::size_t i = 0; i < grid; i += dirStep_)
-        dir_.push_back(cdf_[i]);
 }
 
 double
 ApcInverseTable::reconstruct(double p) const
 {
-    if (p <= cdfFront_)
+    if (p <= cdf_.front())
         return vLo_;
-    if (p >= cdfBack_)
+    if (p >= cdf_.back())
         return vHi_;
-    // CDF is monotone non-decreasing: bracket p in the directory,
-    // then binary search one window. Yields exactly the whole-table
-    // lower_bound index: dir_[d-1] < p bounds it below, dir_[d] >= p
-    // (when present) bounds it above.
-    const std::size_t d = static_cast<std::size_t>(
-        std::lower_bound(dir_.begin(), dir_.end(), p) - dir_.begin());
-    const std::size_t w_lo = (d - 1) * dirStep_;
-    const std::size_t w_hi =
-        d < dir_.size() ? std::min(d * dirStep_ + 1, cdf_.size())
-                        : cdf_.size();
-    const auto it = std::lower_bound(cdf_.begin() + w_lo + 1,
-                                     cdf_.begin() + w_hi, p);
-    const std::size_t hi = static_cast<std::size_t>(it - cdf_.begin());
+    // The CDF is monotone non-decreasing and cdf_.front() < p, so the
+    // first entry >= p sits at index 1 or later.
+    const std::size_t hi = static_cast<std::size_t>(
+        std::lower_bound(cdf_.begin(), cdf_.end(), p) - cdf_.begin());
     const std::size_t lo = hi - 1;
     const double span = cdf_[hi] - cdf_[lo];
     const double t = span > 0.0 ? (p - cdf_[lo]) / span : 0.5;

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "itdr/apc.hh"
 #include "itdr/calibrate.hh"
 #include "itdr/counter.hh"
 #include "txline/born.hh"
@@ -138,13 +139,7 @@ ITdr::prepareBins(const TransmissionLine &line)
     if (bins_ == 0)
         divot_fatal("iTDR capture window too short (%g s)", window_);
 
-    inverse_.clear();
-    inverse_.reserve(bins_);
-    const double sigma = reconstructionSigma();
-    for (unsigned m = 0; m < bins_; ++m) {
-        const double t0 = static_cast<double>(m) * pll_.phaseStep();
-        inverse_.emplace_back(pdm_.levelsAt(t0), sigma);
-    }
+    rebuildIipLut();
 
     if (config_.strobeModel == StrobeModel::Binomial) {
         // The analytic engine's per-bin reference levels. Trigger
@@ -166,7 +161,6 @@ ITdr::prepareBins(const TransmissionLine &line)
                                      t0);
             }
         }
-        rebuildIipLut();
     }
 
     // Budget baseline for the health screen: expected cycles follow
@@ -192,36 +186,32 @@ ITdr::recalibrate()
     }
     calibratedSigma_ = result.sigma;
     offsetCorrection_ = result.offset;
-    if (bins_ != 0) {
-        // The inverse tables bake in sigma: rebuild them on the frozen
-        // bin grid so reconstructions use the fresh estimate.
-        for (unsigned m = 0; m < bins_; ++m) {
-            const double t0 = static_cast<double>(m) * pll_.phaseStep();
-            inverse_[m] = ApcInverseTable(pdm_.levelsAt(t0),
-                                          calibratedSigma_);
-        }
-        if (config_.strobeModel == StrobeModel::Binomial)
-            rebuildIipLut();
-    }
+    // The table bakes in sigma: rebuild it on the frozen bin grid so
+    // reconstructions use the fresh estimate.
+    if (bins_ != 0)
+        rebuildIipLut();
     return true;
 }
 
 void
 ITdr::rebuildIipLut()
 {
-    // One row per bin, one entry per possible hit count. The counter
-    // round-trip reproduces finishBin's probability computation
-    // exactly (including any width clamping), so a LUT lookup is
-    // bit-identical to calling reconstruct in the bin loop.
+    // One row per bin, one entry per possible hit count: the bin's
+    // inverse mixture CDF at the probability the hit counter reports
+    // for that count (including any width clamping). Each bin's
+    // ApcInverseTable lives only while its row is filled.
     const std::size_t stride = static_cast<std::size_t>(trials_) + 1;
     iipLut_.resize(static_cast<std::size_t>(bins_) * stride);
+    const double sigma = reconstructionSigma();
     HitCounter counter(config_.counterWidthBits);
     for (unsigned m = 0; m < bins_; ++m) {
+        const double t0 = static_cast<double>(m) * pll_.phaseStep();
+        const ApcInverseTable inverse(pdm_.levelsAt(t0), sigma);
         for (unsigned h = 0; h <= trials_; ++h) {
             counter.reset();
             counter.recordBatch(h, trials_);
             iipLut_[static_cast<std::size_t>(m) * stride + h] =
-                inverse_[m].reconstruct(counter.probability());
+                inverse.reconstruct(counter.probability());
         }
     }
 }
@@ -317,7 +307,6 @@ ITdr::measure(const TransmissionLine &line, NoiseSource *extra_noise)
     }
 
     Waveform iip = Waveform::zeros(tau, bins_);
-    HitCounter counter(config_.counterWidthBits);
 
     // Resolve this measurement's fault frame (a pure function of the
     // injector's measurement index, so campaigns stay deterministic at
@@ -366,13 +355,12 @@ ITdr::measure(const TransmissionLine &line, NoiseSource *extra_noise)
         }
         return hits;
     };
+    // Every engine finishes a bin with one reconstruction-table load
+    // (hits never exceeds trials_).
     auto finishBin = [&](unsigned m, unsigned hits) {
         if (hits == 0 || hits >= trials_)
             ++saturated_bins;
-        counter.reset();
-        counter.recordBatch(hits, trials_);
-        double v = inverse_[m].reconstruct(counter.probability()) -
-            offsetCorrection_;
+        double v = binVoltage(m, hits);
         if (!std::isfinite(v)) {
             ++non_finite_bins;
             v = 0.0;
@@ -464,11 +452,9 @@ ITdr::measure(const TransmissionLine &line, NoiseSource *extra_noise)
                                           analyticLevels_.data(),
                                           bins_, levels, per_level,
                                           soa);
-            // finishBin via iipLut_: same saturation/finiteness
-            // accounting, same reconstruct value (precomputed), but
-            // independent loads instead of per-bin CDF searches — the
-            // prefetch keeps the sweep from serializing on the 0.5 MB
-            // table's cache misses.
+            // Every hit count is known up front, so the table loads
+            // are independent: the prefetch keeps the sweep from
+            // serializing on the 0.5 MB table's cache misses.
             const std::size_t stride =
                 static_cast<std::size_t>(trials_) + 1;
             for (unsigned m = 0; m < bins_; ++m) {
@@ -478,18 +464,7 @@ ITdr::measure(const TransmissionLine &line, NoiseSource *extra_noise)
                                      stride +
                                  soa.hits[m + 8]]);
                 }
-                const unsigned hits = faultHits(soa.hits[m]);
-                if (hits == 0 || hits >= trials_)
-                    ++saturated_bins;
-                double v =
-                    iipLut_[static_cast<std::size_t>(m) * stride +
-                            hits] -
-                    offsetCorrection_;
-                if (!std::isfinite(v)) {
-                    ++non_finite_bins;
-                    v = 0.0;
-                }
-                iip[m] = v;
+                finishBin(m, faultHits(soa.hits[m]));
             }
             if (telemetry_ != nullptr) {
                 (kernels_->target == SimdTarget::Avx2 ? tmKernelAvx2_
@@ -551,7 +526,7 @@ ITdr::measure(const TransmissionLine &line, NoiseSource *extra_noise)
             // t_abs): hoist it out of the trial loop.
             const double v_fixed =
                 no_jitter ? trace.valueAt(t_sig0) + bias : 0.0;
-            counter.reset();
+            HitCounter counter(config_.counterWidthBits);
             for (unsigned k = 0; k < trials_; ++k) {
                 const uint64_t cycle = triggerGen_.nextTriggerCycle();
                 // Strobe jitter shifts the sampling instant relative

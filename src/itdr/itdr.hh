@@ -30,7 +30,6 @@
 #include "analog/coupler.hh"
 #include "analog/pll.hh"
 #include "fault/fault.hh"
-#include "itdr/apc.hh"
 #include "itdr/health.hh"
 #include "itdr/kernels/kernels.hh"
 #include "itdr/kernels/soa.hh"
@@ -200,6 +199,21 @@ class ITdr
     /** @return the offset correction applied to reconstructions. */
     double offsetCorrection() const { return offsetCorrection_; }
 
+    /**
+     * The voltage phase bin `bin` reconstructs when its hit counter
+     * reads `hits` (<= trialsPerPhase()): one reconstruction-table
+     * load minus the offset correction. Every strobe engine finishes
+     * its bins through it. Valid once measure() or idealIip() froze
+     * the bin grid.
+     */
+    double binVoltage(unsigned bin, unsigned hits) const
+    {
+        return iipLut_[static_cast<std::size_t>(bin) *
+                           (static_cast<std::size_t>(trials_) + 1) +
+                       hits] -
+            offsetCorrection_;
+    }
+
     /** @return the reflection-trace cache (hit/miss accounting). */
     const TraceCache &traceCache() const { return traceCache_; }
 
@@ -219,7 +233,7 @@ class ITdr
 
     /**
      * Re-run the power-up noise self-calibration against the live
-     * comparator and rebuild the inverse-CDF tables with the fresh
+     * comparator and rebuild the reconstruction table with the fresh
      * sigma/offset estimates. This is the Quarantine-recovery hook:
      * after an unhealthy streak the Authenticator re-baselines the
      * instrument before trusting it again.
@@ -281,9 +295,6 @@ class ITdr
     FaultInjector *faultInjector_ = nullptr;
     uint64_t expectedCycles_ = 0;
 
-    /** Per-bin inverse-CDF tables, built lazily on first measure. */
-    std::vector<ApcInverseTable> inverse_;
-
     /** Content-keyed cache of rendered clean detector traces. */
     mutable TraceCache traceCache_;
     /** Uncached render target when the cache is disabled. */
@@ -297,15 +308,13 @@ class ITdr
      *  frozen bin grid (bins_ x levelCount(), row-major). Built by
      *  prepareBins only when strobeModel == Binomial. */
     std::vector<double> analyticLevels_;
-    /** Analytic engine: precomputed reconstruction per (bin, hit
-     *  count) — bins_ x (trials_ + 1), row-major, pre offset
-     *  correction. A hit count only takes trials_ + 1 values, so the
-     *  whole reconstruct sweep collapses to independent table loads
-     *  (no data-dependent binary-search chains over the cold CDF
-     *  grids); each entry is the verbatim output of
-     *  inverse_[m].reconstruct on the HitCounter's probability, so
-     *  results are bit-identical to the per-bin path. Built by
-     *  prepareBins (Binomial only) and rebuilt by recalibrate. */
+    /** The instrument's only reconstruction state: V_sig per (bin,
+     *  hit count) — bins_ x (trials_ + 1), row-major, pre offset
+     *  correction. A hit count only takes trials_ + 1 values, so
+     *  finishing a bin is one table load for every strobe engine.
+     *  Each entry is the bin's ApcInverseTable evaluated at the
+     *  HitCounter's probability for that count (width clamping
+     *  included). Built by prepareBins and rebuilt by recalibrate. */
     std::vector<double> iipLut_;
     /** One-time fallback warning latch (per instrument). */
     bool analyticFallbackWarned_ = false;
@@ -353,7 +362,8 @@ class ITdr
     void prepareBins(const TransmissionLine &line);
     double reconstructionSigma() const;
 
-    /** (Re)build iipLut_ from the current inverse_ tables. */
+    /** (Re)build iipLut_ on the frozen bin grid with the current
+     *  reconstruction sigma. */
     void rebuildIipLut();
 
     /** Render the clean trace (no cache). */

@@ -84,7 +84,6 @@ EnrollmentDb::EnrollmentDb(EnrollmentDbConfig config)
     if (config_.shards == 0)
         config_.shards = 1;
     overlays_.resize(config_.shards);
-    deferredImageSync_.assign(config_.shards, false);
     if (config_.shardCacheBytes > 0) {
         ShardCacheConfig cc;
         cc.budgetBytes = config_.shardCacheBytes;
@@ -122,21 +121,13 @@ EnrollmentDb::open()
         return false;
     }
     opened_ = true;
-    // Deferred image data syncs are legal only while the journal can
-    // rebuild every image from scratch — i.e. no image predates this
-    // journal. A fresh directory qualifies; reopening over existing
-    // images (normal restart or crash recovery) conservatively does
-    // not.
-    journalCoversImages_ = true;
-    for (unsigned s = 0; s < config_.shards && journalCoversImages_;
-         ++s) {
-        if (fileExists(shardPath(s)))
-            journalCoversImages_ = false;
-    }
     // A predecessor handle may have died between a rename and the
     // directory sync that pins it (a bulk load syncs once, at its
-    // closing checkpoint): the first settle of this handle pins them.
-    pendingDirSync_ = !journalCoversImages_;
+    // closing checkpoint): when any image exists, the first settle of
+    // this handle pins them.
+    pendingDirSync_ = false;
+    for (unsigned s = 0; s < config_.shards && !pendingDirSync_; ++s)
+        pendingDirSync_ = fileExists(shardPath(s));
     replayJournal();
     return true;
 }
@@ -211,12 +202,6 @@ EnrollmentDb::cacheStats() const
 void
 EnrollmentDb::settleDurability()
 {
-    for (unsigned s = 0; s < config_.shards; ++s) {
-        if (deferredImageSync_[s]) {
-            syncFileData(shardPath(s));
-            deferredImageSync_[s] = false;
-        }
-    }
     if (!pendingDirSync_)
         return;
     syncDir(config_.directory);
@@ -375,21 +360,13 @@ EnrollmentDb::flushShard(unsigned shard, const StorageFault &fault)
     }
     const std::vector<char> image = buildShardImage(records);
     const WriteFault wf = writeFaultFor(fault, image.size(), true);
-    // Group commit batches the directory sync per epoch; while the
-    // journal still covers every image record (cold enroll into a
-    // fresh directory) the data sync defers to the checkpoint too —
-    // a crash in between replays the full journal over whatever
-    // prefix of the images survived.
-    const bool defer_data =
-        config_.journalGroupCommit && journalCoversImages_;
+    // Group commit batches the directory sync per epoch; the image
+    // data always syncs inline.
     if (!atomicWriteFile(shardPath(shard), image, &wf,
-                         /*sync_dir=*/!config_.journalGroupCommit,
-                         /*sync_data=*/!defer_data))
+                         /*sync_dir=*/!config_.journalGroupCommit))
         return false;
     if (config_.journalGroupCommit)
         pendingDirSync_ = true;
-    if (defer_data)
-        deferredImageSync_[shard] = true;
     if (cache_ != nullptr) {
         ShardView fresh;
         fresh.records = std::move(records);
@@ -503,15 +480,12 @@ EnrollmentDb::mutate(uint8_t op, const std::string &id,
         }
         if (durable) {
             // Group commit: every rename this epoch deferred its
-            // directory sync (and, while the journal covered the
-            // images, its data sync); pin them all now, while the
-            // journal can still replay anything a lost entry would
-            // resurface over.
+            // directory sync; pin them all now, while the journal can
+            // still replay anything a lost entry would resurface over.
             settleDurability();
             journalStream_.close();
             truncateFile(journalPath(), 0);
             journalBytes_ = 0;
-            journalCoversImages_ = false;
             tmCheckpoints_.add();
         }
     }
@@ -559,7 +533,6 @@ EnrollmentDb::writeShards(const std::vector<ShardWriteGroup> &groups,
         status.front() = ShardWriteStatus::Failed;
         return status;
     }
-    journalCoversImages_ = false;
 
     // Commit g consumes event ioEvent_ + g. The first power cut ends
     // the call, so nothing past it is read, built or written.
@@ -776,7 +749,6 @@ EnrollmentDb::checkpoint()
     settleDurability();
     journalStream_.close();
     truncateFile(journalPath(), 0);
-    journalCoversImages_ = false;
     journalBytes_ = 0;
     tmCheckpoints_.add();
     if (fault.crash &&

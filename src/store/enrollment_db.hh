@@ -372,11 +372,9 @@ class EnrollmentDb
     readImageLayer(unsigned shard, const std::vector<std::string> &ids,
                    const ShardView *view, bool *from_cache) const;
     /**
-     * Settle every deferred sync of the group-commit epoch: fdatasync
-     * each shard image written with a deferred data sync, then the
-     * deferred directory sync. Must run before the journal truncates
-     * — afterwards the journal no longer covers the images and
-     * deferral stops (journalCoversImages_ goes false).
+     * Settle the group-commit epoch's deferred directory sync. Must
+     * run before the journal truncates: afterwards a lost rename
+     * could no longer be replayed.
      */
     void settleDurability();
     void applyPostWriteDamage(const StorageFault &fault,
@@ -396,16 +394,6 @@ class EnrollmentDb
     uint64_t replayed_ = 0;
     unsigned scrubCursor_ = 0;
     bool pendingDirSync_ = false;
-    /**
-     * True while the live journal can reconstruct every record held
-     * by every shard image — exactly the window (from a fresh
-     * directory until the first checkpoint truncation) in which image
-     * data syncs may be deferred to the checkpoint. Conservative:
-     * reopening over existing images clears it.
-     */
-    bool journalCoversImages_ = false;
-    std::vector<bool> deferredImageSync_; //!< per shard: image was
-                                          //!< written sync_data=false
     std::unique_ptr<ShardImageCache> cache_;
     AppendStream journalStream_; //!< group-commit: journal handle
                                  //!< held open across appends; closed

@@ -74,8 +74,7 @@ writeAllFd(int fd, const char *data, std::size_t count)
 }
 
 /**
- * Write `count` bytes to a fresh file and (when `sync` is set) sync
- * them to the medium. fdatasync suffices for the old-or-new
+ * Write `count` bytes to a fresh file and sync them to the medium. fdatasync suffices for the old-or-new
  * guarantee: the file is fresh, so the data blocks plus the size
  * (which fdatasync is required to flush, being metadata needed to
  * read the data back) are the whole durable state — the inode
@@ -84,16 +83,14 @@ writeAllFd(int fd, const char *data, std::size_t count)
  * epoch.
  */
 bool
-writeWhole(const std::string &path, const char *data, std::size_t count,
-           bool sync = true)
+writeWhole(const std::string &path, const char *data, std::size_t count)
 {
     const int fd =
         ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
     if (fd < 0)
         return false;
     bool ok = writeAllFd(fd, data, count);
-    if (sync)
-        ok = ::fdatasync(fd) == 0 && ok;
+    ok = ::fdatasync(fd) == 0 && ok;
     ok = ::close(fd) == 0 && ok;
     return ok;
 }
@@ -120,16 +117,6 @@ syncParentDir(const std::string &path)
 } // namespace
 
 void
-syncFileData(const std::string &path)
-{
-    const int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0)
-        return;
-    ::fdatasync(fd);
-    ::close(fd);
-}
-
-void
 syncDir(const std::string &dir)
 {
     const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
@@ -141,7 +128,7 @@ syncDir(const std::string &dir)
 
 bool
 writeTempFile(const std::string &path, const std::vector<char> &bytes,
-              const WriteFault *fault, bool sync_data)
+              const WriteFault *fault)
 {
     if (fault != nullptr && fault->crashBeforeWrite)
         return false;
@@ -153,7 +140,7 @@ writeTempFile(const std::string &path, const std::vector<char> &bytes,
         count = static_cast<std::size_t>(fault->tornAfterBytes);
         torn = true;
     }
-    if (!writeWhole(path + ".tmp", bytes.data(), count, sync_data))
+    if (!writeWhole(path + ".tmp", bytes.data(), count))
         return false;
     return !torn; // power cut mid-write: only a prefix landed
 }
@@ -171,9 +158,9 @@ commitTempFile(const std::string &path, bool sync_dir)
 
 bool
 atomicWriteFile(const std::string &path, const std::vector<char> &bytes,
-                const WriteFault *fault, bool sync_dir, bool sync_data)
+                const WriteFault *fault, bool sync_dir)
 {
-    if (!writeTempFile(path, bytes, fault, sync_data))
+    if (!writeTempFile(path, bytes, fault))
         return false;
     if (fault != nullptr && fault->crashBeforeRename)
         return false; // power cut: temp file abandoned, target intact

@@ -110,42 +110,32 @@ class ReadOnlyFile
  * (partial temp file left behind, or a complete temp never renamed)
  * and false is returned.
  *
- * Group commit: `sync_dir = false` skips only the directory fsync.
- * `sync_data = false` additionally skips the temp-file data sync —
- * legal ONLY while some other durable copy (for the enrollment db:
- * the journal, which is truncated strictly after the deferred syncs
- * settle) can reconstruct every record the written image holds. When
- * the image carries records older than the journal's last
- * checkpoint, the data sync must stay inline: the old image is their
- * sole copy and renaming a non-durable temp over it would break the
- * old-or-new guarantee. A caller deferring either sync must settle —
- * `syncFileData()` on each deferred path, then `syncDir()` on the
- * parent — before it destroys any other way to recover the renamed
- * content (before the journal truncates at a checkpoint). Losing a
- * deferred directory entry or data block in a power cut merely
- * resurfaces the old state, and the still-intact journal replays the
- * difference.
+ * Group commit: `sync_dir = false` skips only the directory fsync;
+ * the temp-file data sync always runs, so the image is old-or-new. A
+ * caller deferring the directory sync must settle it — `syncDir()` on
+ * the parent — before it destroys any other way to recover the
+ * renamed content (before the journal truncates at a checkpoint).
+ * Losing a deferred directory entry in a power cut merely resurfaces
+ * the old image, and the still-intact journal replays the difference.
  *
  * @return true when the rename committed
  */
 bool atomicWriteFile(const std::string &path,
                      const std::vector<char> &bytes,
                      const WriteFault *fault = nullptr,
-                     bool sync_dir = true,
-                     bool sync_data = true);
+                     bool sync_dir = true);
 
 /**
- * First half of atomicWriteFile: write `path + ".tmp"` and (with
- * `sync_data`) fdatasync it. A crashBeforeWrite fault writes nothing,
- * a torn fault writes only the prefix; both return false, leaving
- * `path` untouched. crashBeforeRename is the caller's to honor.
+ * First half of atomicWriteFile: write `path + ".tmp"` and fdatasync
+ * it. A crashBeforeWrite fault writes nothing, a torn fault writes
+ * only the prefix; both return false, leaving `path` untouched.
+ * crashBeforeRename is the caller's to honor.
  *
  * @return true when the whole temp file was written
  */
 bool writeTempFile(const std::string &path,
                    const std::vector<char> &bytes,
-                   const WriteFault *fault = nullptr,
-                   bool sync_data = true);
+                   const WriteFault *fault = nullptr);
 
 /**
  * Second half of atomicWriteFile: rename `path + ".tmp"` over `path`,
@@ -154,14 +144,6 @@ bool writeTempFile(const std::string &path,
  * @return true when the rename committed
  */
 bool commitTempFile(const std::string &path, bool sync_dir = true);
-
-/**
- * fdatasync a file written earlier with `sync_data = false`: pins the
- * data blocks and size before the journal stops covering them.
- * Best-effort on open failure (the file may have been damaged or
- * removed by a fault in between; recovery handles it as torn).
- */
-void syncFileData(const std::string &path);
 
 /**
  * fsync a directory so every rename committed into it survives a

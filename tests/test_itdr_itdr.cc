@@ -1,17 +1,24 @@
 /**
  * @file
  * Integration tests for the full iTDR: reconstruction convergence to
- * the physics ground truth, bin-grid stability, cost accounting, and
+ * the physics ground truth, the (bin, hit count) reconstruction table
+ * every strobe engine reads, bin-grid stability, cost accounting, and
  * the load-echo timing the memory-bus design depends on.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
+#include "fault/fault.hh"
+#include "itdr/apc.hh"
 #include "itdr/budget.hh"
+#include "itdr/counter.hh"
 #include "itdr/itdr.hh"
+#include "itdr/pdm.hh"
 #include "signal/noise.hh"
 #include "txline/manufacturing.hh"
 
@@ -26,6 +33,22 @@ testLine(uint64_t seed = 1, double length = 0.1)
     auto z = fab.drawImpedanceProfile(length, 0.5e-3);
     return TransmissionLine(std::move(z), 0.5e-3, params.velocity,
                             50.0, 50.4, params.lossNeperPerMeter, "t");
+}
+
+/** FNV-1a over the IEEE-754 bits of every IIP sample. */
+uint64_t
+iipDigest(const Waveform &iip, uint64_t h = 0xcbf29ce484222325ull)
+{
+    for (std::size_t i = 0; i < iip.size(); ++i) {
+        const double v = iip[i];
+        uint64_t bits = 0;
+        std::memcpy(&bits, &v, sizeof bits);
+        for (int b = 0; b < 8; ++b) {
+            h ^= (bits >> (8 * b)) & 0xffu;
+            h *= 0x100000001b3ull;
+        }
+    }
+    return h;
 }
 
 TEST(ITdr, MeasurementConvergesToIdealIip)
@@ -322,6 +345,114 @@ TEST(ITdr, LatticeBackendAgreesWithBorn)
     const Waveform b = lattice.idealIip(line);
     ASSERT_EQ(a.size(), b.size());
     EXPECT_GT(normalizedInnerProduct(a, b), 0.99);
+}
+
+TEST(ITdr, ReconstructionTableMatchesFreshInverseTables)
+{
+    // Every engine finishes a bin through one (bin, hit count) table.
+    // Each entry must equal, bit for bit, a freshly built
+    // ApcInverseTable evaluated at the hit counter's probability for
+    // that count — for both strobe models, for a counter narrower
+    // than log2(trials) (it saturates, so the probability clamps),
+    // under fault frames that force counts the strobes never produce,
+    // and again after recalibrate() rebuilds the table.
+    const auto line = testLine();
+    struct Case
+    {
+        StrobeModel model;
+        unsigned widthBits;
+    };
+    for (const Case c : {Case{StrobeModel::Sampled, 12},
+                         Case{StrobeModel::Binomial, 12},
+                         Case{StrobeModel::Sampled, 7},
+                         Case{StrobeModel::Binomial, 7}}) {
+        SCOPED_TRACE(testing::Message()
+                     << "binomial=" << (c.model == StrobeModel::Binomial)
+                     << " width=" << c.widthBits);
+        ItdrConfig cfg;
+        cfg.trialsPerPhase = 170; // 7 bits saturate at 127 strobes
+        cfg.strobeModel = c.model;
+        cfg.counterWidthBits = c.widthBits;
+        FaultPlan plan;
+        plan.comparatorStuck(1, 1, true)
+            .comparatorStuck(2, 1, false)
+            .counterBitFlip(3, 1, 0.5);
+        FaultInjector injector(plan, Rng(41));
+        ITdr itdr(cfg, Rng(43));
+        itdr.attachFaultInjector(&injector);
+
+        const unsigned trials = itdr.trialsPerPhase();
+        const Waveform ideal = itdr.idealIip(line);
+        const PdmSchedule pdm(cfg.pdm, cfg.pll.clockFrequency);
+        auto expected = [&] {
+            std::vector<std::vector<double>> rows(ideal.size());
+            HitCounter counter(c.widthBits);
+            for (std::size_t m = 0; m < rows.size(); ++m) {
+                const ApcInverseTable table(
+                    pdm.levelsAt(static_cast<double>(m) * ideal.dt()),
+                    itdr.effectiveSigma());
+                for (unsigned h = 0; h <= trials; ++h) {
+                    counter.reset();
+                    counter.recordBatch(h, trials);
+                    rows[m].push_back(
+                        table.reconstruct(counter.probability()) -
+                        itdr.offsetCorrection());
+                }
+            }
+            return rows;
+        };
+        auto checkTable = [&](const std::vector<std::vector<double>> &rows) {
+            for (unsigned m = 0; m < rows.size(); ++m) {
+                for (unsigned h = 0; h <= trials; ++h) {
+                    ASSERT_EQ(itdr.binVoltage(m, h), rows[m][h])
+                        << "bin " << m << " hits " << h;
+                }
+            }
+        };
+        const std::vector<std::vector<double>> rows = expected();
+        checkTable(rows);
+
+        // Measurements 0..3: clean, stuck high, stuck low, counter
+        // flips. Every bin lands exactly on an entry of its row.
+        for (int k = 0; k < 4; ++k) {
+            const IipMeasurement meas = itdr.measure(line);
+            ASSERT_EQ(meas.iip.size(), rows.size());
+            for (std::size_t m = 0; m < rows.size(); ++m) {
+                if (k == 1) {
+                    ASSERT_EQ(meas.iip[m], rows[m][trials]) << m;
+                } else if (k == 2) {
+                    ASSERT_EQ(meas.iip[m], rows[m][0]) << m;
+                } else {
+                    ASSERT_NE(std::find(rows[m].begin(), rows[m].end(),
+                                        meas.iip[m]),
+                              rows[m].end())
+                        << "measurement " << k << " bin " << m;
+                }
+            }
+        }
+
+        ASSERT_TRUE(itdr.recalibrate());
+        checkTable(expected());
+    }
+}
+
+TEST(ITdr, PinnedSampledIipDigests)
+{
+    // Cross-build equality evidence for the Sampled engine: the
+    // literals were taken while each bin still kept its own inverse
+    // CDF table, before every engine read the (bin, hit count) table.
+    // Two measurements per path, the second from the trace cache.
+    const auto line = testLine();
+    ItdrConfig cfg;
+    ITdr batch(cfg, Rng(29));
+    cfg.batchedStrobes = false;
+    ITdr scalar(cfg, Rng(29));
+    uint64_t batchDigest = iipDigest(batch.measure(line).iip);
+    batchDigest = iipDigest(batch.measure(line).iip, batchDigest);
+    uint64_t scalarDigest = iipDigest(scalar.measure(line).iip);
+    scalarDigest = iipDigest(scalar.measure(line).iip, scalarDigest);
+    EXPECT_EQ(batchDigest, 0xc762c9160431f1a0ull);
+    EXPECT_EQ(scalarDigest, 0xc762c9160431f1a0ull);
 }
 
 TEST(ITdr, ZeroTrialsRejected)

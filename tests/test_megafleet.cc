@@ -4,7 +4,8 @@
  * sharded EnrollmentDb: synthetic-channel determinism, thread-count
  * verdict identity (with and without storage faults), crash-reopen
  * enrollment, the no-junk guarantee when shard images are destroyed
- * under a running fleet, and thread-count invariance of the
+ * under a running fleet, once-only accounting of a committed record
+ * lost in both banks, and thread-count invariance of the
  * record-granular hydration reads over damaged images.
  */
 
@@ -159,6 +160,47 @@ TEST(MegaFleet, DestroyedShardFencesItsChannelsNeverJunk)
     EXPECT_EQ(second.pendingReenrollWires, 0u);
     EXPECT_EQ(second.contributingWires, first.contributingWires);
     EXPECT_TRUE(second.busAuthenticated);
+}
+
+TEST(MegaFleet, RecordLostAfterCommitIsCountedOnce)
+{
+    // A committed record destroyed in both banks is fenced at its
+    // first hydration. It was enrolled, so it counts as lost after
+    // enrollment: every channel is still counted exactly once.
+    const std::string dir = freshDir("mega_lost_record");
+    MegaFleetConfig cfg = smallConfig(dir, 1);
+    cfg.probesPerTick = 96; // every tick touches the whole fleet
+    MegaFleet fleet(cfg, Rng(9));
+    ASSERT_EQ(fleet.enrollAll(), 96u);
+
+    // Image layout: [header A][payload A][payload B][trailer B], the
+    // banks byte-for-byte mirrors. Damaging the same payload byte in
+    // both banks kills the one record frame holding it.
+    const std::string shard = fleet.db().shardPath(3);
+    std::vector<char> image;
+    ASSERT_TRUE(store::readFile(shard, image));
+    const std::size_t header = 24;
+    const std::size_t len = (image.size() - 2 * header) / 2;
+    image[header + len / 2] ^= 0x5a;
+    image[header + len + len / 2] ^= 0x5a;
+    ASSERT_TRUE(store::atomicWriteFile(shard, image));
+
+    for (int t = 0; t < 3; ++t) {
+        const MegaFleetVerdict v = fleet.tick();
+        EXPECT_EQ(v.contributingWires + v.pendingReenrollWires,
+                  t == 0 ? 96u : 95u);
+        EXPECT_TRUE(v.busTrusted); // nothing junk was fused in
+    }
+    const MegaFleetReport &report = fleet.report();
+    EXPECT_EQ(report.enrolled, 96u);
+    EXPECT_EQ(report.fencedAtEnroll, 0u);
+    EXPECT_EQ(report.lostAfterEnroll, 1u);
+    EXPECT_EQ(report.pendingReenroll, 1u);
+    EXPECT_EQ(fleet.fencedChannels(), 1u);
+    // The bench_megafleet crash-recovery gate, both sums.
+    EXPECT_EQ(report.enrolled + report.fencedAtEnroll, 96u);
+    EXPECT_EQ(report.fencedAtEnroll + report.lostAfterEnroll,
+              fleet.fencedChannels());
 }
 
 TEST(MegaFleet, PinnedMixedScheduleDigests)
