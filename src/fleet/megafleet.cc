@@ -261,6 +261,7 @@ MegaFleet::enrollAll()
                            ++failures[shard] == 4) {
                     for (const std::size_t i : members[shard])
                         slots_[i].state = 1;
+                    fenced_ += members[shard].size();
                     report_.fencedAtEnroll += members[shard].size();
                     report_.pendingReenroll += members[shard].size();
                     tmPending_.add(members[shard].size());
@@ -280,14 +281,6 @@ MegaFleet::enrollAll()
             reopenDb();
     }
     return report_.enrolled;
-}
-
-std::size_t
-MegaFleet::fencedChannels() const
-{
-    return static_cast<std::size_t>(
-        std::count_if(slots_.begin(), slots_.end(),
-                      [](const ChannelSlot &s) { return s.state != 0; }));
 }
 
 std::size_t
@@ -398,6 +391,8 @@ MegaFleet::processArrivals()
                 // channel joins the hot tier so its next probe — the
                 // evidence the requester is really after — lands in
                 // the very next tick.
+                if (slots_[c].state != 0)
+                    --fenced_;
                 slots_[c].state = 0;
                 slots_[c].lastScore = -1.0f;
                 slots_[c].tampered = false;
@@ -465,12 +460,13 @@ MegaFleet::tick()
     }
 
     // --- Hydrate: group by shard so each shard's index is read at
-    // most once per tick, then only the batch's record frames (or
-    // nothing at all when the store's decoded-image cache holds the
-    // shard). The store reads the groups in parallel and applies
-    // their cache accesses serially; the merge below walks the groups
-    // in ascending shard order, so the fuseScores operand order and
-    // the digest do not depend on the thread count. ------------------
+    // most once per tick, then only the record frames that neither
+    // the shard's pending overlay (a fresh re-enrollment) nor the
+    // store's decoded-image cache holds. The store reads the groups
+    // in parallel and applies their cache accesses serially; the
+    // merge below walks the groups in ascending shard order, so the
+    // fuseScores operand order and the digest do not depend on the
+    // thread count. ---------------------------------------------------
     std::map<unsigned, std::vector<std::size_t>> byShard;
     for (std::size_t i : batch)
         byShard[db_->shardOf(channelId(i))].push_back(i);
@@ -499,7 +495,7 @@ MegaFleet::tick()
     for (const auto &[shard, channels] : byShard) {
         store::ShardRead &shardRead = shardReads[g++];
         // Records this shard's point read decoded from disk, not
-        // served from the cache.
+        // served from the overlay or the cache.
         std::size_t transientBytes = 0;
         for (std::size_t k = 0; k < channels.size(); ++k) {
             store::RecordRead &read = shardRead.reads[k];
@@ -518,6 +514,7 @@ MegaFleet::tick()
             // Missing or damaged in every bank: fence the channel
             // instead of authenticating junk.
             slots_[i].state = 1;
+            ++fenced_;
             ++report_.lostAfterEnroll;
             ++report_.pendingReenroll;
             ++pendingThisTick;
@@ -617,7 +614,7 @@ MegaFleet::tick()
         response.status = service::ResponseStatus::Ok;
         response.similarity = v.fusedSimilarity;
         response.channels = config_.channels;
-        response.fenced = report_.pendingReenroll;
+        response.fenced = fenced_;
         if (v.busAuthenticated)
             response.flags |= service::kResponseAuthenticated;
         if (v.tamperAlarm)

@@ -115,9 +115,10 @@ struct MegaFleetReport
     uint64_t ticks = 0;          //!< monitoring ticks executed
     uint64_t probes = 0;         //!< per-wire probes performed
     uint64_t hydrates = 0;       //!< records hydrated from shards
-    uint64_t pendingReenroll = 0; //!< channels fenced, either cause
+    uint64_t pendingReenroll = 0; //!< fences raised, either cause
                                   //!< (fencedAtEnroll +
-                                  //!< lostAfterEnroll)
+                                  //!< lostAfterEnroll); cumulative —
+                                  //!< a lifted fence stays counted
     bool lastTrusted = false;    //!< busTrusted after the final tick
     double lastFusedSimilarity = 0.0; //!< fused score, final tick
     uint64_t verdictDigest = 0;  //!< FNV-1a over every fused verdict
@@ -177,11 +178,10 @@ class MegaFleet
     /** @return the running report (valid any time). */
     const MegaFleetReport &report() const { return report_; }
 
-    /** @return channels fenced right now (PendingReenroll). Until a
-     *  re-enrollment lifts a fence, this equals
-     *  report().pendingReenroll: each fence lands on a distinct
-     *  channel. */
-    std::size_t fencedChannels() const;
+    /** @return channels fenced right now (PendingReenroll): every
+     *  fence raises it, a durable (re)enrollment that lifts one lowers
+     *  it. FleetSummary answers it. */
+    std::size_t fencedChannels() const { return fenced_; }
 
     /** @return the backing database (open; may have been reopened). */
     store::EnrollmentDb &db() { return *db_; }
@@ -254,7 +254,6 @@ class MegaFleet
         service::RequestLedger::kNoChannel;
 
     void reopenDb();
-    MegaFleetVerdict fuse();
     /** Fold one tick's probe batch into the instrument-pool busy /
      *  capacity account under the configured scheduling model. */
     void accountInstrumentSchedule(
@@ -281,6 +280,7 @@ class MegaFleet
     std::unique_ptr<class ThreadPool> pool_;
     const FaultInjector *injector_ = nullptr;
     std::vector<ChannelSlot> slots_;
+    std::size_t fenced_ = 0; //!< slots in PendingReenroll right now
     std::size_t cursor_ = 0; //!< round-robin probe cursor
     uint64_t tick_ = 0;
     MegaFleetReport report_;

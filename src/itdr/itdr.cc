@@ -439,7 +439,7 @@ ITdr::measure(const TransmissionLine &line, NoiseSource *extra_noise)
         const bool soa_ok = fault.pllDropoutRate <= 0.0 &&
             fault.counterFlipRate <= 0.0;
         if (soa_ok) {
-            StrobeSoA &soa = *soa_;
+            StrobeSoA &soa = soa_;
             soa.resize(bins_, levels);
             for (unsigned m = 0; m < bins_; ++m) {
                 const double t0 = static_cast<double>(m) * tau;

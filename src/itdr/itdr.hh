@@ -264,20 +264,6 @@ class ITdr
      *  (fixed at construction; see ItdrConfig::simd). */
     const StrobeKernels &kernels() const { return *kernels_; }
 
-    /**
-     * Point the analytic engine's SoA sweep at an external scratch
-     * arena instead of the instrument-owned one. Every arena lane is
-     * fully overwritten per measurement (see StrobeSoA), so sharing
-     * one arena across instruments measured *serially* — the fleet
-     * scheduler's batched mode — changes allocation behaviour, never
-     * results. Pass nullptr to return to the owned arena. Not owned;
-     * must outlive the attachment.
-     */
-    void attachKernelArena(StrobeSoA *arena)
-    {
-        soa_ = arena != nullptr ? arena : &soaOwn_;
-    }
-
   private:
     ItdrConfig config_;
     Rng rng_;
@@ -320,10 +306,8 @@ class ITdr
     bool analyticFallbackWarned_ = false;
     /** Resolved strobe kernels (never null; set in the ctor). */
     const StrobeKernels *kernels_ = nullptr;
-    /** Instrument-owned SoA arena for the analytic sweep. */
-    StrobeSoA soaOwn_;
-    /** Active arena: soaOwn_ unless attachKernelArena overrode it. */
-    StrobeSoA *soa_ = &soaOwn_;
+    /** SoA scratch arena for the analytic sweep. */
+    StrobeSoA soa_;
 
     /** @name Telemetry plumbing (inert until attachTelemetry). */
     ///@{

@@ -163,36 +163,6 @@ EnrollmentDb::attachTelemetry(Telemetry *telemetry)
         cache_->attachTelemetry(telemetry);
 }
 
-bool
-EnrollmentDb::loadShardView(unsigned shard, ShardView &view)
-{
-    std::vector<char> bytes;
-    if (!readFile(shardPath(shard), bytes) || bytes.empty())
-        return false;
-    const ShardParseReport report = parseShardImage(bytes, view.records);
-    view.clean = !imageDamaged(report);
-    return true;
-}
-
-std::shared_ptr<const ShardView>
-EnrollmentDb::shardView(unsigned shard, bool *from_cache)
-{
-    if (shard >= config_.shards)
-        return nullptr;
-    const auto loader = [this, shard](ShardView &view) {
-        return loadShardView(shard, view);
-    };
-    if (cache_ != nullptr)
-        return cache_->acquire(shard, loader, from_cache);
-    if (from_cache != nullptr)
-        *from_cache = false;
-    auto view = std::make_shared<ShardView>();
-    if (!loader(*view))
-        return nullptr;
-    view->accountBytes();
-    return view;
-}
-
 ShardCacheStats
 EnrollmentDb::cacheStats() const
 {
@@ -200,12 +170,16 @@ EnrollmentDb::cacheStats() const
 }
 
 void
-EnrollmentDb::settleDurability()
+EnrollmentDb::truncateJournal()
 {
-    if (!pendingDirSync_)
-        return;
-    syncDir(config_.directory);
-    pendingDirSync_ = false;
+    if (pendingDirSync_) {
+        syncDir(config_.directory);
+        pendingDirSync_ = false;
+    }
+    journalStream_.close();
+    truncateFile(journalPath(), 0);
+    journalBytes_ = 0;
+    tmCheckpoints_.add();
 }
 
 StorageFault
@@ -350,14 +324,8 @@ EnrollmentDb::imageRecords(unsigned shard)
 bool
 EnrollmentDb::flushShard(unsigned shard, const StorageFault &fault)
 {
-    Overlay &overlay = overlays_[shard];
     std::map<std::string, EnrollmentRecord> records = imageRecords(shard);
-    for (const auto &[id, pending] : overlay) {
-        if (pending.has_value())
-            records[id] = *pending;
-        else
-            records.erase(id);
-    }
+    mergeOverlay(shard, records);
     const std::vector<char> image = buildShardImage(records);
     const WriteFault wf = writeFaultFor(fault, image.size(), true);
     // Group commit batches the directory sync per epoch; the image
@@ -365,17 +333,39 @@ EnrollmentDb::flushShard(unsigned shard, const StorageFault &fault)
     if (!atomicWriteFile(shardPath(shard), image, &wf,
                          /*sync_dir=*/!config_.journalGroupCommit))
         return false;
-    if (config_.journalGroupCommit)
+    landImage(shard, std::move(records), config_.journalGroupCommit);
+    return true;
+}
+
+void
+EnrollmentDb::mergeOverlay(
+    unsigned shard, std::map<std::string, EnrollmentRecord> &records) const
+{
+    for (const auto &[id, pending] : overlays_[shard]) {
+        if (pending.has_value())
+            records[id] = *pending;
+        else
+            records.erase(id);
+    }
+}
+
+void
+EnrollmentDb::landImage(unsigned shard,
+                        std::map<std::string, EnrollmentRecord> records,
+                        bool dir_sync_deferred)
+{
+    if (dir_sync_deferred)
         pendingDirSync_ = true;
     if (cache_ != nullptr) {
+        // The image is the shard's new content; write it through so no
+        // reader ever sees the state it replaced.
         ShardView fresh;
         fresh.records = std::move(records);
         fresh.clean = true;
         cache_->update(shard, std::move(fresh));
     }
-    overlay.clear();
+    overlays_[shard].clear();
     tmFlushes_.add();
-    return true;
 }
 
 void
@@ -478,16 +468,8 @@ EnrollmentDb::mutate(uint8_t op, const std::string &id,
             if (!overlays_[s].empty())
                 durable = flushShard(s, StorageFault{});
         }
-        if (durable) {
-            // Group commit: every rename this epoch deferred its
-            // directory sync; pin them all now, while the journal can
-            // still replay anything a lost entry would resurface over.
-            settleDurability();
-            journalStream_.close();
-            truncateFile(journalPath(), 0);
-            journalBytes_ = 0;
-            tmCheckpoints_.add();
-        }
+        if (durable)
+            truncateJournal();
     }
 
     // Count the put before the AfterCommit cut below: the mutation is
@@ -583,16 +565,9 @@ EnrollmentDb::writeShards(const std::vector<ShardWriteGroup> &groups,
         if (written[g] == 0 ||
             !commitTempFile(shardPath(shard), /*sync_dir=*/false))
             continue;
-        pendingDirSync_ = true;
         status[g] = ShardWriteStatus::Landed;
         tmPuts_.add(groups[g].records.size());
-        tmFlushes_.add();
-        if (cache_ != nullptr) {
-            ShardView fresh;
-            fresh.records = std::move(records[g]);
-            fresh.clean = true;
-            cache_->update(shard, std::move(fresh));
-        }
+        landImage(shard, std::move(records[g]), /*dir_sync_deferred=*/true);
         applyPostWriteDamage(fault, shard);
         if (fault.crash) { // AfterCommit: the image is in place
             dead_ = true;
@@ -625,32 +600,13 @@ DbGetStatus
 EnrollmentDb::get(const std::string &id, EnrollmentRecord &out)
 {
     tmGets_.add();
-    const unsigned shard = shardOf(id);
-    const Overlay &overlay = overlays_[shard];
-    const auto it = overlay.find(id);
-    if (it != overlay.end()) {
-        if (!it->second.has_value())
-            return DbGetStatus::Missing;
-        out = *it->second;
-        return DbGetStatus::Ok;
-    }
-
-    RecordRead read = std::move(readRecords(shard, {id}).front());
+    RecordRead read =
+        std::move(readShard(shardOf(id), {id}, /*access=*/true).reads[0]);
     if (read.status == DbGetStatus::Ok)
         out = std::move(read.record);
     else if (read.status == DbGetStatus::Unrecoverable)
         tmGetDamaged_.add();
     return read.status;
-}
-
-std::vector<RecordRead>
-EnrollmentDb::readRecords(unsigned shard,
-                          const std::vector<std::string> &ids,
-                          bool *from_cache)
-{
-    const std::shared_ptr<const ShardView> view =
-        cache_ != nullptr ? cache_->peek(shard) : nullptr;
-    return readImageLayer(shard, ids, view.get(), from_cache);
 }
 
 std::vector<ShardRead>
@@ -659,11 +615,8 @@ EnrollmentDb::readRecords(const std::vector<ShardReadGroup> &groups,
 {
     std::vector<ShardRead> out(groups.size());
     pool.parallelFor(groups.size(), [&](std::size_t g) {
-        const std::shared_ptr<const ShardView> view =
-            cache_ != nullptr ? cache_->resident(groups[g].shard)
-                              : nullptr;
-        out[g].reads = readImageLayer(groups[g].shard, groups[g].ids,
-                                      view.get(), &out[g].fromCache);
+        out[g] = readShard(groups[g].shard, groups[g].ids,
+                           /*access=*/false);
     });
     // Replay the lookups as accesses, serially in group order: the
     // reads above changed no residency, so each replay sees exactly
@@ -675,47 +628,59 @@ EnrollmentDb::readRecords(const std::vector<ShardReadGroup> &groups,
     return out;
 }
 
-std::vector<RecordRead>
-EnrollmentDb::readImageLayer(unsigned shard,
-                             const std::vector<std::string> &ids,
-                             const ShardView *view,
-                             bool *from_cache) const
+ShardRead
+EnrollmentDb::readShard(unsigned shard, const std::vector<std::string> &ids,
+                        bool access)
 {
-    std::vector<RecordRead> reads(ids.size());
-    // Ids the resident view cannot settle, by position in `ids`.
+    ShardRead out;
+    out.reads.resize(ids.size());
+    // Ids the overlay leaves to the image layer, by position in `ids`.
     std::vector<std::size_t> pending;
+    const Overlay &overlay = overlays_[shard];
     for (std::size_t i = 0; i < ids.size(); ++i) {
-        if (view == nullptr) {
+        const auto it = overlay.empty() ? overlay.end()
+                                        : overlay.find(ids[i]);
+        if (it == overlay.end()) {
             pending.push_back(i);
-            continue;
-        }
-        const auto vit = view->records.find(ids[i]);
-        if (vit != view->records.end()) {
-            reads[i].status = DbGetStatus::Ok;
-            reads[i].record = vit->second;
-        } else if (!view->clean) {
-            // A damaged view cannot tell "never written" from
-            // "written but damaged in every bank": ask the image.
-            pending.push_back(i);
-        }
+        } else if (it->second.has_value()) {
+            out.reads[i].status = DbGetStatus::Ok;
+            out.reads[i].record = *it->second;
+        } // else a tombstone: Missing
     }
-    if (from_cache != nullptr)
-        *from_cache = pending.empty();
+
+    std::shared_ptr<const ShardView> view;
+    if (cache_ != nullptr && !pending.empty())
+        view = access ? cache_->peek(shard) : cache_->resident(shard);
+    if (view != nullptr) {
+        std::size_t kept = 0;
+        for (const std::size_t i : pending) {
+            const auto vit = view->records.find(ids[i]);
+            if (vit != view->records.end()) {
+                out.reads[i].status = DbGetStatus::Ok;
+                out.reads[i].record = vit->second;
+            } else if (!view->clean) {
+                // A damaged view cannot tell "never written" from
+                // "written but damaged in every bank": ask the image.
+                pending[kept++] = i;
+            }
+        }
+        pending.resize(kept);
+    }
+    out.fromCache = pending.empty();
     if (pending.empty())
-        return reads;
+        return out;
 
     const ReadOnlyFile file(shardPath(shard));
     if (!file.isOpen() || file.size() == 0)
-        return reads; // no image on disk: Missing
-    const ImageReader image = readerOf(file);
+        return out; // no image on disk: Missing
     std::vector<std::string> wanted;
     wanted.reserve(pending.size());
     for (const std::size_t i : pending)
         wanted.push_back(ids[i]);
-    std::vector<RecordRead> fromDisk = readShardRecords(image, wanted);
+    std::vector<RecordRead> fromDisk = readShardRecords(readerOf(file), wanted);
     for (std::size_t k = 0; k < pending.size(); ++k)
-        reads[pending[k]] = std::move(fromDisk[k]);
-    return reads;
+        out.reads[pending[k]] = std::move(fromDisk[k]);
+    return out;
 }
 
 bool
@@ -746,11 +711,7 @@ EnrollmentDb::checkpoint()
         }
         first = false;
     }
-    settleDurability();
-    journalStream_.close();
-    truncateFile(journalPath(), 0);
-    journalBytes_ = 0;
-    tmCheckpoints_.add();
+    truncateJournal();
     if (fault.crash &&
         fault.crashPoint == StorageCrashPoint::AfterCommit) {
         dead_ = true;
@@ -803,12 +764,7 @@ EnrollmentDb::scrubShard(unsigned shard)
     // next corruption again has a healthy sibling bank to fall back
     // on. Unrecoverable records are dropped — their channels must
     // re-enroll — but never silently: the result reports them.
-    for (const auto &[id, pending] : overlays_[shard]) {
-        if (pending.has_value())
-            records[id] = *pending;
-        else
-            records.erase(id);
-    }
+    mergeOverlay(shard, records);
     const std::vector<char> image = buildShardImage(records);
     const StorageFault fault = faultFor(ioEvent_++);
     const WriteFault wf = writeFaultFor(fault, image.size(), true);
@@ -819,15 +775,7 @@ EnrollmentDb::scrubShard(unsigned shard)
         }
         return result;
     }
-    if (cache_ != nullptr) {
-        // The rewrite is the shard's new pristine image; write it
-        // through so no reader ever sees pre-scrub salvage state.
-        ShardView fresh;
-        fresh.records = std::move(records);
-        fresh.clean = true;
-        cache_->update(shard, std::move(fresh));
-    }
-    overlays_[shard].clear();
+    landImage(shard, std::move(records), /*dir_sync_deferred=*/false);
     applyPostWriteDamage(fault, shard);
     result.repaired = true;
     tmScrubRepairs_.add();

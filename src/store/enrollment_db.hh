@@ -110,8 +110,9 @@ struct ShardReadGroup
 struct ShardRead
 {
     std::vector<RecordRead> reads; //!< one per id, in order
-    bool fromCache = false;        //!< the resident view settled every
-                                   //!< id (no disk read)
+    bool fromCache = false;        //!< the overlay and the resident
+                                   //!< view settled every id (no disk
+                                   //!< read)
 };
 
 /** One shard's records in a bulk write (EnrollmentDb::writeShards). */
@@ -226,57 +227,36 @@ class EnrollmentDb
     bool setFlags(const std::string &id, uint64_t flags);
 
     /**
-     * Point lookup: the overlay first, then `readRecords` on the
-     * owning shard's image layer.
+     * Point lookup of one id: its shard's pending overlay, then the
+     * resident decoded view, then a point read of the image (see the
+     * batch `readRecords`).
      */
     DbGetStatus get(const std::string &id, EnrollmentRecord &out);
 
     /**
-     * Point read of `ids` from one shard's *image layer* (pending
-     * overlays are not consulted — the mega-fleet hydrates from durable
-     * state only). A resident decoded view serves the ids when there is
-     * one (a miss in a *clean* view is a provable Missing); every id
-     * it cannot settle is read from disk with `readShardRecords`
-     * (header, index, then only the wanted frames, bank B's frame when
-     * bank A's fails). Never loads or admits a whole shard: the cache
-     * fills only by write-through.
+     * Batch read: every group is read on `pool` (groups are claimed
+     * dynamically, one shard per claim). Each id is settled the way
+     * `get` settles it: by the shard's pending overlay first (a
+     * tombstone answers Missing), then by the resident decoded view (a
+     * miss in a *clean* view is a provable Missing), and every id left
+     * is read from disk with `readShardRecords` (header, index, then
+     * only the wanted frames, bank B's frame when bank A's fails).
+     * Never loads or admits a whole shard: the cache fills only by
+     * write-through.
      *
-     * @param from_cache optionally reports whether the resident view
-     *        settled every id (no disk read)
-     * @return one entry per id, in order; all Missing when the shard
-     *         has no image on disk
-     */
-    std::vector<RecordRead>
-    readRecords(unsigned shard, const std::vector<std::string> &ids,
-                bool *from_cache = nullptr);
-
-    /**
-     * Batch form of `readRecords`: every group is read on `pool`
-     * (groups are claimed dynamically, one shard image per claim).
-     * The concurrent phase only looks resident views up; after the
-     * join the batch's cache accesses — hits, misses, LRU touches,
-     * frequency bumps — are applied serially in group order, so cache
-     * state and counters do not depend on the thread count. Pass each
-     * shard at most once, in ascending order.
+     * The concurrent phase only reads overlays and looks resident
+     * views up; after the join the batch's cache accesses — hits,
+     * misses, LRU touches, frequency bumps — are applied serially in
+     * group order, one `peek` per group, so cache state and counters
+     * do not depend on the thread count. Pass each shard at most
+     * once, in ascending order.
      *
-     * @return one ShardRead per group, in order
+     * @return one ShardRead per group, in order; an id of a shard with
+     *         no image and no pending record is Missing
      */
     std::vector<ShardRead>
     readRecords(const std::vector<ShardReadGroup> &groups,
                 ThreadPool &pool);
-
-    /**
-     * Whole-shard decoded read of the *image layer*, for diagnostics
-     * and tests. Served from the cache when one is configured — and,
-     * unlike the point-read path, loaded and possibly admitted on a
-     * miss — decoded transiently otherwise.
-     *
-     * @param from_cache optionally reports whether the view was
-     *        resident
-     * @return null when the shard has no image on disk
-     */
-    std::shared_ptr<const ShardView> shardView(unsigned shard,
-                                               bool *from_cache = nullptr);
 
     /** @return cache counters (zeroes when no cache is configured). */
     ShardCacheStats cacheStats() const;
@@ -364,19 +344,35 @@ class EnrollmentDb
      * aside as `.corrupt`). Empty when the shard has no image.
      */
     std::map<std::string, EnrollmentRecord> imageRecords(unsigned shard);
-    /** Decode `shard`'s image into `view`; false when no file. */
-    bool loadShardView(unsigned shard, ShardView &view);
-    /** `readRecords` against an already looked-up resident `view`
-     *  (null when none); touches neither the cache nor telemetry. */
-    std::vector<RecordRead>
-    readImageLayer(unsigned shard, const std::vector<std::string> &ids,
-                   const ShardView *view, bool *from_cache) const;
+    /** Lay `shard`'s pending overlay over `records`. */
+    void mergeOverlay(unsigned shard,
+                      std::map<std::string, EnrollmentRecord> &records) const;
     /**
-     * Settle the group-commit epoch's deferred directory sync. Must
-     * run before the journal truncates: afterwards a lost rename
-     * could no longer be replayed.
+     * `shard`'s image holding exactly `records` was just renamed into
+     * place: note the directory sync the rename deferred (if it did),
+     * write the clean view through to the cache, drop the overlay the
+     * image now covers, and count the flush.
      */
-    void settleDurability();
+    void landImage(unsigned shard,
+                   std::map<std::string, EnrollmentRecord> records,
+                   bool dir_sync_deferred);
+    /**
+     * Settle `ids` of one shard: the overlay first, then the resident
+     * view, then a point read of the image. With `access` the view
+     * lookup is a counted `peek`, made only when the overlay leaves an
+     * id unsettled (serial callers); without it the lookup is the
+     * side-effect-free `resident`, and the call changes no state, so
+     * the batch's workers may run it concurrently.
+     */
+    ShardRead readShard(unsigned shard, const std::vector<std::string> &ids,
+                        bool access);
+    /**
+     * Every overlay has landed: settle the group-commit epoch's
+     * deferred directory sync — strictly before the journal truncates,
+     * since afterwards a lost rename could no longer be replayed — then
+     * truncate the journal and count the checkpoint.
+     */
+    void truncateJournal();
     void applyPostWriteDamage(const StorageFault &fault,
                               unsigned shard);
     bool replayJournal();

@@ -91,33 +91,6 @@ ShardImageCache::peek(unsigned shard)
     return entries_[shard].view;
 }
 
-std::shared_ptr<const ShardView>
-ShardImageCache::acquire(unsigned shard, const Loader &loader,
-                         bool *from_cache)
-{
-    touch(shard);
-    const bool hit = entries_[shard].view != nullptr;
-    if (from_cache != nullptr)
-        *from_cache = hit;
-    if (hit) {
-        ++stats_.hits;
-        tmHits_.add(1);
-        return entries_[shard].view;
-    }
-
-    ++stats_.misses;
-    tmMisses_.add(1);
-    auto view = std::make_shared<ShardView>();
-    if (!loader(*view))
-        return nullptr; // nothing on disk; never negatively cached
-    view->accountBytes();
-    if (!admit(shard, view)) {
-        ++stats_.rejections;
-        tmRejections_.add(1);
-    }
-    return view;
-}
-
 void
 ShardImageCache::update(unsigned shard, ShardView view)
 {

@@ -8,11 +8,9 @@
  * frames (about 1.4 KB per probe at 100k channels / 512 shards). This
  * cache keeps whole *decoded* shard images (the post-CRC-salvage
  * record map) resident under a byte budget, so a resident shard
- * answers with no IO and no decode at all. It never loads on the read
- * path: `peek` serves what is resident, and entries arrive by
- * write-through when the db rewrites an image (`update`) — or through
- * `acquire`, which only the whole-shard diagnostic read
- * (`EnrollmentDb::shardView`) still calls:
+ * answers with no IO and no decode at all. It never loads: `peek`
+ * serves what is resident, and entries arrive only by write-through
+ * when the db rewrites an image (`update`):
  *
  *  - LRU over shards, byte-budgeted: the cache never holds more than
  *    `budgetBytes` of decoded records, however many shards that is.
@@ -48,7 +46,6 @@
 #define DIVOT_STORE_SHARD_CACHE_HH
 
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <map>
 #include <memory>
@@ -93,10 +90,9 @@ struct ShardCacheConfig
 struct ShardCacheStats
 {
     uint64_t hits = 0;
-    uint64_t misses = 0;      //!< lookups that found nothing
-                              //!< resident (acquire loads, peeks)
-    uint64_t admissions = 0;  //!< loaded views admitted
-    uint64_t rejections = 0;  //!< loaded views served transiently
+    uint64_t misses = 0;      //!< peeks that found nothing resident
+    uint64_t admissions = 0;  //!< written-through views admitted
+    uint64_t rejections = 0;  //!< written-through views not stored
                               //!< (victim hotter, or view > budget)
     uint64_t evictions = 0;
     uint64_t updates = 0;     //!< write-through image rewrites
@@ -113,21 +109,6 @@ class ShardImageCache
 {
   public:
     explicit ShardImageCache(ShardCacheConfig config);
-
-    /** Fill `view` from disk; false when there is nothing to read. */
-    using Loader = std::function<bool(ShardView &view)>;
-
-    /**
-     * Return the decoded image of `shard`, loading (and possibly
-     * admitting) it on a miss. A loaded-but-rejected view is returned
-     * transiently — valid for the caller, never stored.
-     *
-     * @param from_cache optionally reports whether this was a hit
-     * @return null when the loader found nothing to read
-     */
-    std::shared_ptr<const ShardView> acquire(unsigned shard,
-                                             const Loader &loader,
-                                             bool *from_cache = nullptr);
 
     /**
      * Return `shard`'s resident view, or null without touching disk.

@@ -332,9 +332,7 @@ TEST_F(DispatchEnv, UnsupportedForcedTargetFallsBackToScalar)
     }
 }
 
-/** Full-instrument determinism per dispatch target, plus arena
- *  sharing: a measure through a caller-attached arena must be
- *  byte-identical to one through the instrument's own scratch. */
+/** Full-instrument determinism per dispatch target. */
 class ItdrKernelHarness
 {
   public:
@@ -348,14 +346,12 @@ class ItdrKernelHarness
                                 "kernel-test");
     }
 
-    static Waveform measureOnce(SimdTarget simd, StrobeSoA *arena)
+    static Waveform measureOnce(SimdTarget simd)
     {
         ItdrConfig cfg;
         cfg.strobeModel = StrobeModel::Binomial;
         cfg.simd = simd;
         ITdr itdr(cfg, Rng(11));
-        if (arena != nullptr)
-            itdr.attachKernelArena(arena);
         TransmissionLine line = makeLine();
         return itdr.measure(line).iip;
     }
@@ -366,29 +362,12 @@ TEST_F(DispatchEnv, MeasureDeterministicPerTarget)
     unsetenv("DIVOT_SIMD");
     for (const StrobeKernels *k : runnableKernelSets()) {
         const Waveform a =
-            ItdrKernelHarness::measureOnce(k->target, nullptr);
+            ItdrKernelHarness::measureOnce(k->target);
         const Waveform b =
-            ItdrKernelHarness::measureOnce(k->target, nullptr);
+            ItdrKernelHarness::measureOnce(k->target);
         ASSERT_EQ(a.size(), b.size());
         for (std::size_t i = 0; i < a.size(); ++i)
             EXPECT_EQ(a[i], b[i]) << k->name << " bin " << i;
-    }
-}
-
-TEST_F(DispatchEnv, SharedArenaMatchesOwnedScratch)
-{
-    unsetenv("DIVOT_SIMD");
-    for (const StrobeKernels *k : runnableKernelSets()) {
-        const Waveform own =
-            ItdrKernelHarness::measureOnce(k->target, nullptr);
-        StrobeSoA arena;
-        const Waveform shared =
-            ItdrKernelHarness::measureOnce(k->target, &arena);
-        ASSERT_EQ(own.size(), shared.size());
-        for (std::size_t i = 0; i < own.size(); ++i)
-            EXPECT_EQ(own[i], shared[i]) << k->name << " bin " << i;
-        // The arena was actually used (sized by the sweep).
-        EXPECT_EQ(arena.vSig.size(), own.size()) << k->name;
     }
 }
 
@@ -396,10 +375,10 @@ TEST_F(DispatchEnv, EnvForcedScalarMatchesConfigScalar)
 {
     unsetenv("DIVOT_SIMD");
     const Waveform cfg_scalar =
-        ItdrKernelHarness::measureOnce(SimdTarget::Scalar, nullptr);
+        ItdrKernelHarness::measureOnce(SimdTarget::Scalar);
     setenv("DIVOT_SIMD", "scalar", 1);
     const Waveform env_scalar =
-        ItdrKernelHarness::measureOnce(SimdTarget::Auto, nullptr);
+        ItdrKernelHarness::measureOnce(SimdTarget::Auto);
     ASSERT_EQ(cfg_scalar.size(), env_scalar.size());
     for (std::size_t i = 0; i < cfg_scalar.size(); ++i)
         EXPECT_EQ(cfg_scalar[i], env_scalar[i]) << "bin " << i;

@@ -5,7 +5,8 @@
  * verdict identity (with and without storage faults), crash-reopen
  * enrollment, the no-junk guarantee when shard images are destroyed
  * under a running fleet, once-only accounting of a committed record
- * lost in both banks, and thread-count invariance of the
+ * lost in both banks, a Reenroll that lifts a fence for good, pinned
+ * request-schedule digests, and thread-count invariance of the
  * record-granular hydration reads over damaged images.
  */
 
@@ -203,14 +204,77 @@ TEST(MegaFleet, RecordLostAfterCommitIsCountedOnce)
               fleet.fencedChannels());
 }
 
-TEST(MegaFleet, PinnedMixedScheduleDigests)
+TEST(MegaFleet, ReenrollLiftsFenceForGood)
 {
-    // Cross-build equality evidence for the request front end: the
-    // literals below were taken before MegaFleet moved onto the shared
-    // RequestLedger, and every later refactor must reproduce them.
-    // The schedule covers every kind, both Busy bounds, an Unknown
-    // name and a Fenced channel.
-    const std::string dir = freshDir("mega_pinned");
+    // A durable Reenroll of a fenced channel lifts the fence: the
+    // fresh record still sits in its shard's overlay at the next tick,
+    // and hydration must read it there, not fence the channel again.
+    const std::string dir = freshDir("mega_reenroll_fenced");
+    MegaFleetConfig cfg = smallConfig(dir, 2);
+    cfg.probesPerTick = 96; // every tick touches the whole fleet
+    MegaFleet fleet(cfg, Rng(5));
+    ASSERT_EQ(fleet.enrollAll(), 96u);
+    ASSERT_TRUE(store::truncateFile(fleet.db().shardPath(0), 10));
+
+    const MegaFleetVerdict first = fleet.tick();
+    ASSERT_EQ(first.pendingReenrollWires, 12u);
+    ASSERT_EQ(fleet.fencedChannels(), 12u);
+    std::size_t fencedCh = 0;
+    while (fleet.db().shardOf(MegaFleet::channelId(fencedCh)) != 0)
+        ++fencedCh;
+    const std::string ch = MegaFleet::channelId(fencedCh);
+
+    uint64_t id = 1;
+    auto send = [&](service::RequestKind kind, const std::string &name) {
+        service::ServiceRequest rq;
+        rq.id = id++;
+        rq.kind = kind;
+        rq.channel = name;
+        ASSERT_TRUE(fleet.submit(rq));
+    };
+    send(service::RequestKind::Reenroll, ch);
+    send(service::RequestKind::Verify, ch);
+    send(service::RequestKind::FleetSummary, "");
+    const MegaFleetVerdict second = fleet.tick();
+    EXPECT_EQ(second.pendingReenrollWires, 0u);
+    EXPECT_EQ(second.contributingWires, 96u - 11u);
+    send(service::RequestKind::QuarantineStatus, ch);
+    fleet.tick();
+
+    const std::vector<service::ServiceResponse> responses =
+        fleet.drainResponses();
+    ASSERT_EQ(responses.size(), 4u);
+    EXPECT_EQ(responses[0].status, service::ResponseStatus::Ok);
+    EXPECT_EQ(responses[0].generation, 1u); // the old record was lost
+    EXPECT_EQ(responses[1].status, service::ResponseStatus::Ok);
+    EXPECT_NE(responses[1].flags & service::kResponseAuthenticated, 0u);
+    EXPECT_EQ(responses[2].fenced, 11u);
+    EXPECT_EQ(responses[3].status, service::ResponseStatus::Ok);
+    EXPECT_EQ(responses[3].state,
+              static_cast<uint64_t>(AuthState::Monitoring));
+    EXPECT_GE(responses[3].similarity, cfg.similarityThreshold);
+
+    EXPECT_EQ(fleet.report().pendingReenroll, 12u); // cumulative
+    EXPECT_EQ(fleet.fencedChannels(), 11u);
+}
+
+/** Response and verdict digests of the pinned mixed schedule. */
+struct ScheduleDigests
+{
+    uint64_t responses = 0;
+    uint64_t verdicts = 0;
+};
+
+/**
+ * Drive the pinned mixed schedule: every request kind, both Busy
+ * bounds, an Unknown name and a Fenced channel. With
+ * `reenroll_fenced` it ends by re-enrolling the fenced channel and
+ * verifying it in the same tick.
+ */
+ScheduleDigests
+runPinnedSchedule(const char *name, bool reenroll_fenced)
+{
+    const std::string dir = freshDir(name);
     MegaFleetConfig cfg = smallConfig(dir, 2);
     cfg.channels = 2000;
     cfg.probesPerTick = 64;
@@ -219,13 +283,13 @@ TEST(MegaFleet, PinnedMixedScheduleDigests)
     cfg.requestQueueDepth = 12;
     cfg.requestChannelDepth = 3;
     MegaFleet fleet(cfg, Rng(2020));
-    ASSERT_EQ(fleet.enrollAll(), 2000u);
+    EXPECT_EQ(fleet.enrollAll(), 2000u);
 
     // Every channel of shard 0 loses its enrollment.
     std::size_t fencedCh = 0;
     while (fleet.db().shardOf(MegaFleet::channelId(fencedCh)) != 0)
         ++fencedCh;
-    ASSERT_TRUE(store::truncateFile(fleet.db().shardPath(0), 10));
+    EXPECT_TRUE(store::truncateFile(fleet.db().shardPath(0), 10));
 
     uint64_t id = 100;
     std::size_t answered = 0;
@@ -263,19 +327,42 @@ TEST(MegaFleet, PinnedMixedScheduleDigests)
         send(RequestKind::QuarantineStatus,
              MegaFleet::channelId(10 + k % 5));
     tick();
-    send(RequestKind::Reenroll, fenced);
-    send(RequestKind::Verify, fenced);
-    send(RequestKind::Verify, "x"); // Unknown
+    if (reenroll_fenced) {
+        send(RequestKind::Reenroll, fenced);
+        send(RequestKind::Verify, fenced);
+        send(RequestKind::Verify, "x"); // Unknown
+    }
     for (int t = 0; t < 8 && fleet.pendingRequests() > 0; ++t)
         tick();
 
     EXPECT_EQ(fleet.pendingRequests(), 0u);
     EXPECT_EQ(answered, fleet.serviceStats().submitted);
     EXPECT_GT(fleet.serviceStats().rejectedBusy, 0u);
-    EXPECT_EQ(fleet.serviceStats().rejectedUnknown, 2u);
-    EXPECT_GE(fencedAnswers, 2u);
-    EXPECT_EQ(fleet.responseDigest(), 8179991149398001361ULL);
-    EXPECT_EQ(fleet.report().verdictDigest, 5214950149944285160ULL);
+    EXPECT_EQ(fleet.serviceStats().rejectedUnknown,
+              reenroll_fenced ? 2u : 1u);
+    EXPECT_GE(fencedAnswers, reenroll_fenced ? 2u : 1u);
+    return {fleet.responseDigest(), fleet.report().verdictDigest};
+}
+
+TEST(MegaFleet, PinnedMixedScheduleDigests)
+{
+    // Cross-build equality evidence for the request front end. The
+    // schedule ends by re-enrolling the fenced channel and verifying
+    // it in the same tick; hydration reads the fresh record from the
+    // shard overlay, so that Verify authenticates.
+    const ScheduleDigests d = runPinnedSchedule("mega_pinned", true);
+    EXPECT_EQ(d.responses, 1783626100399510246ULL);
+    EXPECT_EQ(d.verdicts, 8284833352834443557ULL);
+}
+
+TEST(MegaFleet, PinnedMixedSchedulePrefixDigests)
+{
+    // The same schedule without the closing re-enrollment of the
+    // fenced channel: everything before it must reproduce across
+    // refactors, fence lifting included.
+    const ScheduleDigests d = runPinnedSchedule("mega_pinned_prefix", false);
+    EXPECT_EQ(d.responses, 4429251171546733301ULL);
+    EXPECT_EQ(d.verdicts, 13768763688903403467ULL);
 }
 
 TEST(MegaFleet, PointReadsAreLaneAndThreadInvariantUnderStorageFaults)

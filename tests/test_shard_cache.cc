@@ -5,9 +5,11 @@
  * admission pins a hot subset where plain LRU would thrash, a
  * side-effect-free `resident` lookup leaves every decision to the
  * serial replay, a parallel batch read answers and decides exactly
- * like serial per-shard reads, write-through and damage invalidation
- * keep the cache coherent with the image layer, and the stable
- * telemetry export is byte-identical with the cache on or off.
+ * like one-shard reads issued serially, write-through and damage
+ * invalidation keep the cache coherent with the image layer, and the
+ * stable telemetry export is byte-identical with the cache on or off.
+ * The cache fills only by write-through (`update`), so every case
+ * drives it through `update`/`peek` or the db's batch read.
  */
 
 #include <gtest/gtest.h>
@@ -66,25 +68,22 @@ freshDir(const char *name)
     return dir;
 }
 
-/** A loader producing a one-record view of deterministic size. */
-ShardImageCache::Loader
-loaderFor(unsigned shard)
+/** A one-record view of deterministic size. */
+ShardView
+viewFor(unsigned shard)
 {
-    return [shard](ShardView &view) {
-        const std::string id = "sh" + std::to_string(shard);
-        view.records[id] = testRecord(id, shard);
-        view.clean = true;
-        view.accountBytes();
-        return true;
-    };
+    ShardView view;
+    const std::string id = "sh" + std::to_string(shard);
+    view.records[id] = testRecord(id, shard);
+    view.clean = true;
+    view.accountBytes();
+    return view;
 }
 
 std::size_t
 oneViewBytes()
 {
-    ShardView view;
-    loaderFor(0)(view);
-    return view.bytes;
+    return viewFor(0).bytes;
 }
 
 // --------------------------------------------------------------------
@@ -99,12 +98,11 @@ TEST(ShardCache, BudgetHoldsAndLruEvicts)
     ShardImageCache cache(cfg);
 
     for (unsigned s = 0; s < 16; ++s) {
-        const auto view = cache.acquire(s, loaderFor(s));
-        ASSERT_NE(view, nullptr);
+        cache.update(s, viewFor(s));
         EXPECT_LE(cache.stats().bytes, cfg.budgetBytes);
     }
     const ShardCacheStats stats = cache.stats();
-    EXPECT_EQ(stats.misses, 16u);
+    EXPECT_EQ(stats.updates, 16u);
     EXPECT_GT(stats.evictions, 0u);
     EXPECT_LE(stats.peakBytes, cfg.budgetBytes);
 
@@ -123,14 +121,16 @@ TEST(ShardCache, AdmissionPinsHotShardUnderScan)
     ShardImageCache cache(cfg);
 
     // Heat shard 0 well past any scan candidate's frequency.
-    for (int i = 0; i < 8; ++i)
-        ASSERT_NE(cache.acquire(0, loaderFor(0)), nullptr);
+    cache.update(0, viewFor(0));
+    for (int i = 0; i < 7; ++i)
+        ASSERT_NE(cache.peek(0), nullptr);
 
-    // A scan whose working set dwarfs the budget. Plain LRU would
-    // evict shard 0 on the first miss that needs its slot; admission
-    // control must refuse to evict the hotter resident.
+    // A scan of rewrites whose working set dwarfs the budget. Plain
+    // LRU would evict shard 0 on the first write-through that needs
+    // its slot; admission control must refuse to evict the hotter
+    // resident.
     for (unsigned s = 1; s < 32; ++s)
-        ASSERT_NE(cache.acquire(s, loaderFor(s)), nullptr);
+        cache.update(s, viewFor(s));
 
     const ShardCacheStats stats = cache.stats();
     EXPECT_NE(cache.peek(0), nullptr);
@@ -146,12 +146,34 @@ TEST(ShardCache, OversizedViewServedTransientlyNeverStored)
     cfg.budgetBytes = 64; // smaller than any real view
     ShardImageCache cache(cfg);
 
-    const auto view = cache.acquire(1, loaderFor(1));
-    ASSERT_NE(view, nullptr);
-    EXPECT_EQ(view->records.size(), 1u);
+    cache.update(1, viewFor(1));
     EXPECT_EQ(cache.peek(1), nullptr);
     EXPECT_EQ(cache.stats().bytes, 0u);
     EXPECT_GT(cache.stats().rejections, 0u);
+
+    // Through the db: the rejected shard is still served, by a point
+    // read of its image.
+    EnrollmentDbConfig dbCfg;
+    dbCfg.directory = freshDir("cache_oversized");
+    dbCfg.shards = 1;
+    dbCfg.shardCacheBytes = 64;
+    EnrollmentDb db(dbCfg);
+    ASSERT_TRUE(db.open());
+    std::vector<std::string> ids;
+    for (int i = 0; i < 4; ++i) {
+        ids.push_back("big" + std::to_string(i));
+        ASSERT_TRUE(db.put(testRecord(ids.back(), i)));
+    }
+    ASSERT_TRUE(db.checkpoint());
+    EXPECT_GT(db.cacheStats().rejections, 0u);
+    EXPECT_EQ(db.cacheStats().bytes, 0u);
+    ThreadPool pool(1);
+    const std::vector<ShardRead> got =
+        db.readRecords({ShardReadGroup{0, ids}}, pool);
+    EXPECT_FALSE(got[0].fromCache);
+    for (std::size_t k = 0; k < ids.size(); ++k)
+        EXPECT_EQ(got[0].reads[k].status, DbGetStatus::Ok) << ids[k];
+    EXPECT_EQ(db.cacheStats().bytes, 0u);
 }
 
 TEST(ShardCache, ResidentLookupHasNoSideEffects)
@@ -161,8 +183,8 @@ TEST(ShardCache, ResidentLookupHasNoSideEffects)
     cfg.shards = 4;
     cfg.budgetBytes = 2 * unit;
     ShardImageCache cache(cfg);
-    ASSERT_NE(cache.acquire(0, loaderFor(0)), nullptr);
-    ASSERT_NE(cache.acquire(1, loaderFor(1)), nullptr);
+    cache.update(0, viewFor(0));
+    cache.update(1, viewFor(1));
 
     const ShardCacheStats before = cache.stats();
     for (int i = 0; i < 8; ++i) {
@@ -175,7 +197,7 @@ TEST(ShardCache, ResidentLookupHasNoSideEffects)
 
     // Shard 0 is still the LRU victim at its old frequency: had the
     // lookups touched it, shard 1 would be the one evicted.
-    ASSERT_NE(cache.acquire(2, loaderFor(2)), nullptr);
+    cache.update(2, viewFor(2));
     EXPECT_EQ(cache.resident(0), nullptr);
     EXPECT_NE(cache.resident(1), nullptr);
     EXPECT_NE(cache.resident(2), nullptr);
@@ -195,19 +217,31 @@ cachedConfig(const std::string &dir)
     return cfg;
 }
 
+/** Batch-read `ids` (all routed to shard 0) in one group. */
+ShardRead
+readShard0(EnrollmentDb &db, const std::vector<std::string> &ids)
+{
+    ThreadPool pool(1);
+    return db.readRecords({ShardReadGroup{0, ids}}, pool).front();
+}
+
 TEST(ShardCacheDb, WriteThroughServesFreshRecords)
 {
     const std::string dir = freshDir("cache_wt");
     EnrollmentDb db(cachedConfig(dir));
     ASSERT_TRUE(db.open());
-    for (int i = 0; i < 4; ++i)
-        ASSERT_TRUE(db.put(testRecord("wt" + std::to_string(i), i)));
+    std::vector<std::string> ids;
+    for (int i = 0; i < 4; ++i) {
+        ids.push_back("wt" + std::to_string(i));
+        ASSERT_TRUE(db.put(testRecord(ids.back(), i)));
+    }
     ASSERT_TRUE(db.checkpoint());
 
-    bool from_cache = false;
-    const auto view = db.shardView(0, &from_cache);
-    ASSERT_NE(view, nullptr);
-    EXPECT_EQ(view->records.size(), 4u);
+    // The flush wrote the image through: no disk read.
+    const ShardRead first = readShard0(db, ids);
+    EXPECT_TRUE(first.fromCache);
+    for (const RecordRead &read : first.reads)
+        EXPECT_EQ(read.status, DbGetStatus::Ok);
 
     // Rewrite one record through the normal mutation path; the flush
     // must write through so the next cached read sees generation 2.
@@ -216,10 +250,10 @@ TEST(ShardCacheDb, WriteThroughServesFreshRecords)
     ASSERT_TRUE(db.put(fresh));
     ASSERT_TRUE(db.checkpoint());
 
-    const auto after = db.shardView(0, &from_cache);
-    ASSERT_NE(after, nullptr);
-    EXPECT_TRUE(from_cache);
-    EXPECT_EQ(after->records.at("wt1").generation, 2u);
+    const ShardRead after = readShard0(db, ids);
+    EXPECT_TRUE(after.fromCache);
+    EXPECT_EQ(after.reads[1].status, DbGetStatus::Ok);
+    EXPECT_EQ(after.reads[1].record.generation, 2u);
     EXPECT_GT(db.cacheStats().updates, 0u);
 
     EnrollmentRecord out;
@@ -231,12 +265,14 @@ TEST(ShardCacheDb, RotInvalidatesAndScrubRewriteRefreshes)
 {
     const std::string dir = freshDir("cache_rot");
     const EnrollmentDbConfig cfg = cachedConfig(dir);
+    std::vector<std::string> ids;
+    for (int i = 0; i < 4; ++i)
+        ids.push_back("rot" + std::to_string(i));
     {
         EnrollmentDb db(cfg);
         ASSERT_TRUE(db.open());
         for (int i = 0; i < 4; ++i)
-            ASSERT_TRUE(db.put(
-                testRecord("rot" + std::to_string(i), i)));
+            ASSERT_TRUE(db.put(testRecord(ids[i], i)));
         ASSERT_TRUE(db.checkpoint());
     }
 
@@ -246,24 +282,28 @@ TEST(ShardCacheDb, RotInvalidatesAndScrubRewriteRefreshes)
         ASSERT_TRUE(readFile(peek.shardPath(0), pristine));
     }
     FaultPlan plan;
-    plan.storageBitRot(0, 1, 3.0); // rot exactly one write: the put
+    plan.storageBitRot(4, 1, 3.0); // rot exactly one write: the 5th put
     const FaultInjector injector(plan, Rng(11));
     EnrollmentDb db(cfg);
     db.attachFaultInjector(&injector);
     ASSERT_TRUE(db.open());
 
-    // Warm the cache on the clean image, then land the rot.
-    ASSERT_NE(db.shardView(0), nullptr);
+    // Warm the cache on the clean image: re-putting the four records
+    // fills the overlay, and its flush writes the image through.
+    for (int i = 0; i < 4; ++i)
+        ASSERT_TRUE(db.put(testRecord(ids[i], i)));
+    ASSERT_TRUE(readShard0(db, ids).fromCache);
+
+    // Land the rot.
     ASSERT_TRUE(db.put(testRecord("extra", 9.0)));
     std::vector<char> rotted;
     ASSERT_TRUE(readFile(db.shardPath(0), rotted));
     ASSERT_NE(pristine, rotted);
 
-    // Damage invalidated the entry: the next view is a re-decode of
-    // the rotted bytes (lenient parse), not the stale clean image.
-    bool from_cache = true;
-    const auto damaged = db.shardView(0, &from_cache);
-    ASSERT_NE(damaged, nullptr);
+    // Damage invalidated the entry: the next read goes to the rotted
+    // bytes, not the stale clean view.
+    const ShardRead damaged = readShard0(db, ids);
+    EXPECT_FALSE(damaged.fromCache);
     EXPECT_GT(db.cacheStats().invalidations, 0u);
 
     // Scrub rewrites a pristine dual-bank image and writes through;
@@ -271,23 +311,26 @@ TEST(ShardCacheDb, RotInvalidatesAndScrubRewriteRefreshes)
     const ScrubResult scrub = db.scrubShard(0);
     EXPECT_TRUE(scrub.scanned);
     EXPECT_TRUE(scrub.lostIds.empty());
-    const auto repaired = db.shardView(0, &from_cache);
-    ASSERT_NE(repaired, nullptr);
-    EXPECT_TRUE(from_cache);
-    EXPECT_TRUE(repaired->clean);
-    EXPECT_EQ(repaired->records.size(), 5u);
+    std::vector<std::string> all = ids;
+    all.push_back("extra");
+    all.push_back("never-written");
+    const ShardRead repaired = readShard0(db, all);
+    EXPECT_TRUE(repaired.fromCache);
+    for (std::size_t k = 0; k + 1 < all.size(); ++k)
+        EXPECT_EQ(repaired.reads[k].status, DbGetStatus::Ok) << all[k];
+    // Only a clean view settles a miss without asking the image.
+    EXPECT_EQ(repaired.reads.back().status, DbGetStatus::Missing);
     for (int i = 0; i < 4; ++i) {
         EnrollmentRecord out;
-        EXPECT_EQ(db.get("rot" + std::to_string(i), out),
-                  DbGetStatus::Ok);
+        EXPECT_EQ(db.get(ids[i], out), DbGetStatus::Ok);
     }
 }
 
 TEST(ShardCacheDb, BatchReadMatchesSerialReads)
 {
     // Two identical dbs whose cache holds only part of the shard set:
-    // one is read group by group, the other through the parallel batch
-    // call. Every answer and every cache decision must agree, also
+    // one is read one group per call on a single thread, the other
+    // through one parallel batch call. Every answer and every cache decision must agree, also
     // after write-through rewrites that evict by the replayed order.
     auto filled = [](const char *name) {
         EnrollmentDbConfig cfg;
@@ -318,22 +361,23 @@ TEST(ShardCacheDb, BatchReadMatchesSerialReads)
         groups.push_back(ShardReadGroup{shard, ids});
 
     ThreadPool pool(4);
+    ThreadPool one(1);
     for (int round = 0; round < 3; ++round) {
         const std::vector<ShardRead> got = batch->readRecords(groups, pool);
         ASSERT_EQ(got.size(), groups.size());
         for (std::size_t g = 0; g < groups.size(); ++g) {
-            bool fromCache = false;
-            const std::vector<RecordRead> want = serial->readRecords(
-                groups[g].shard, groups[g].ids, &fromCache);
-            EXPECT_EQ(got[g].fromCache, fromCache) << "shard "
-                                                   << groups[g].shard;
-            ASSERT_EQ(got[g].reads.size(), want.size());
-            for (std::size_t k = 0; k < want.size(); ++k) {
-                EXPECT_EQ(got[g].reads[k].status, want[k].status)
+            const ShardRead want =
+                serial->readRecords({groups[g]}, one).front();
+            EXPECT_EQ(got[g].fromCache, want.fromCache)
+                << "shard " << groups[g].shard;
+            ASSERT_EQ(got[g].reads.size(), want.reads.size());
+            for (std::size_t k = 0; k < want.reads.size(); ++k) {
+                EXPECT_EQ(got[g].reads[k].status, want.reads[k].status)
                     << groups[g].ids[k];
-                EXPECT_EQ(got[g].reads[k].record.id, want[k].record.id);
+                EXPECT_EQ(got[g].reads[k].record.id,
+                          want.reads[k].record.id);
                 EXPECT_EQ(got[g].reads[k].record.generation,
-                          want[k].record.generation);
+                          want.reads[k].record.generation);
             }
         }
         // Rewrite two shards between rounds: their write-through
@@ -384,8 +428,17 @@ TEST(ShardCacheDb, StableExportIdenticalCacheOnOff)
             EXPECT_EQ(db.get("ch" + std::to_string(i), out),
                       DbGetStatus::Ok);
         }
+        std::vector<ShardReadGroup> groups(cfg.shards);
         for (unsigned s = 0; s < cfg.shards; ++s)
-            ASSERT_NE(db.shardView(s), nullptr);
+            groups[s].shard = s;
+        for (int i = 0; i < 24; ++i) {
+            const std::string id = "ch" + std::to_string(i);
+            groups[db.shardOf(id)].ids.push_back(id);
+        }
+        ThreadPool pool(2);
+        for (const ShardRead &read : db.readRecords(groups, pool))
+            for (const RecordRead &record : read.reads)
+                EXPECT_EQ(record.status, DbGetStatus::Ok);
         ASSERT_TRUE(db.checkpoint());
         json = telemetry.exportJson();
     };
@@ -409,9 +462,17 @@ TEST(ShardCacheDb, StableExportIdenticalCacheOnOff)
     for (int i = 0; i < 8; ++i)
         ASSERT_TRUE(db.put(testRecord("s" + std::to_string(i), i)));
     ASSERT_TRUE(db.checkpoint());
-    ASSERT_NE(db.shardView(0), nullptr);
-    ASSERT_NE(db.shardView(0), nullptr);
-    EXPECT_GT(db.cacheStats().hits + db.cacheStats().updates, 0u);
+    std::vector<std::string> ids;
+    for (int i = 0; i < 8; ++i) {
+        const std::string id = "s" + std::to_string(i);
+        if (db.shardOf(id) == 0)
+            ids.push_back(id);
+    }
+    ASSERT_FALSE(ids.empty());
+    readShard0(db, ids);
+    readShard0(db, ids);
+    EXPECT_GT(db.cacheStats().hits, 0u);
+    EXPECT_GT(db.cacheStats().updates, 0u);
 }
 
 } // namespace

@@ -25,6 +25,7 @@
 #include "store/io.hh"
 #include "telemetry/telemetry.hh"
 #include "util/rng.hh"
+#include "util/thread_pool.hh"
 
 #ifndef DIVOT_GOLDEN_DIR
 #error "DIVOT_GOLDEN_DIR must point at the checked-in golden directory"
@@ -247,6 +248,78 @@ TEST(EnrollmentDb, CheckpointFlushesAndTruncatesJournal)
         EnrollmentRecord out;
         EXPECT_EQ(db2.get("ch" + std::to_string(i), out),
                   DbGetStatus::Ok);
+    }
+}
+
+TEST(EnrollmentDb, BatchReadSeesUnflushedOverlay)
+{
+    // The batch read settles ids the way get() does: a pending put
+    // answers its fresh record and a pending erase answers Missing
+    // before the image is consulted, and the cache still sees exactly
+    // one access per group.
+    const std::string dir = freshDir("db_batch_overlay");
+    EnrollmentDbConfig cfg = smallConfig(dir);
+    cfg.shards = 1;
+    cfg.overlayFlushRecords = 64; // nothing below flushes on its own
+    cfg.shardCacheBytes = 1u << 20;
+    EnrollmentDb db(cfg);
+    ASSERT_TRUE(db.open());
+    for (int i = 0; i < 4; ++i)
+        ASSERT_TRUE(db.put(testRecord("ov" + std::to_string(i), i)));
+    ASSERT_TRUE(db.checkpoint()); // image + write-through view
+
+    EnrollmentRecord fresh = testRecord("ov1", 11.0);
+    fresh.generation = 2;
+    ASSERT_TRUE(db.put(fresh));
+    ASSERT_TRUE(db.erase("ov2"));
+    ASSERT_TRUE(db.put(testRecord("ov9", 9.0)));
+
+    const ShardCacheStats before = db.cacheStats();
+    ThreadPool pool(2);
+    const std::vector<std::string> ids = {"ov0", "ov1", "ov2", "ov9",
+                                          "ghost"};
+    const std::vector<ShardRead> got =
+        db.readRecords({ShardReadGroup{0, ids}}, pool);
+    const ShardCacheStats after = db.cacheStats();
+
+    ASSERT_EQ(got.size(), 1u);
+    const std::vector<RecordRead> &reads = got[0].reads;
+    EXPECT_TRUE(got[0].fromCache);
+    EXPECT_EQ(reads[0].status, DbGetStatus::Ok);
+    EXPECT_TRUE(sameRecord(reads[0].record, testRecord("ov0", 0.0)));
+    EXPECT_EQ(reads[1].status, DbGetStatus::Ok);
+    EXPECT_TRUE(sameRecord(reads[1].record, fresh));
+    EXPECT_EQ(reads[2].status, DbGetStatus::Missing);
+    EXPECT_EQ(reads[3].status, DbGetStatus::Ok);
+    EXPECT_TRUE(sameRecord(reads[3].record, testRecord("ov9", 9.0)));
+    EXPECT_EQ(reads[4].status, DbGetStatus::Missing);
+    for (std::size_t k = 0; k < ids.size(); ++k) {
+        EnrollmentRecord out;
+        EXPECT_EQ(db.get(ids[k], out), reads[k].status) << ids[k];
+    }
+
+    EXPECT_EQ(after.hits, before.hits + 1);
+    EXPECT_EQ(after.misses, before.misses);
+    EXPECT_EQ(after.admissions, before.admissions);
+    EXPECT_EQ(after.rejections, before.rejections);
+    EXPECT_EQ(after.evictions, before.evictions);
+    EXPECT_EQ(after.updates, before.updates);
+    EXPECT_EQ(after.invalidations, before.invalidations);
+    EXPECT_EQ(after.bytes, before.bytes);
+
+    // Without a cache the overlay still answers first; the ids it
+    // leaves go to a point read of the image.
+    EnrollmentDbConfig bare = cfg;
+    bare.shardCacheBytes = 0;
+    EnrollmentDb reopened(bare);
+    ASSERT_TRUE(reopened.open()); // replays the three pending entries
+    const std::vector<ShardRead> again =
+        reopened.readRecords({ShardReadGroup{0, ids}}, pool);
+    EXPECT_FALSE(again[0].fromCache);
+    for (std::size_t k = 0; k < ids.size(); ++k) {
+        EXPECT_EQ(again[0].reads[k].status, reads[k].status) << ids[k];
+        EXPECT_EQ(again[0].reads[k].record.generation,
+                  reads[k].record.generation);
     }
 }
 
@@ -668,9 +741,9 @@ TEST(EnrollmentDbFaults, AfterCommitCrashStillCountsThePut)
 
 TEST(EnrollmentDbGroupCommit, CrashBeforeCheckpointReplaysEverything)
 {
-    // Group commit defers the per-rename directory sync (and, while
-    // the journal covers all images, the image data sync) to the
-    // checkpoint. A crash anywhere before that checkpoint must still
+    // Group commit defers the per-rename directory sync to the
+    // checkpoint; the image data sync still runs on every rewrite. A
+    // crash anywhere before that checkpoint must still
     // recover every acknowledged put: the journal is the covering
     // copy and replays over whatever image prefix survived.
     const std::string dir = freshDir("db_gc_crash");
@@ -1139,7 +1212,9 @@ TEST(EnrollmentDb, V3ShardImageServedThenRewrittenAsV4)
     EXPECT_EQ(db.get("v3.ghost", out), DbGetStatus::Missing);
 
     ids.push_back("v3.ghost");
-    const std::vector<RecordRead> reads = db.readRecords(0, ids);
+    ThreadPool pool(1);
+    const std::vector<RecordRead> reads =
+        db.readRecords({ShardReadGroup{0, ids}}, pool).front().reads;
     ASSERT_EQ(reads.size(), ids.size());
     for (std::size_t i = 0; i + 1 < ids.size(); ++i) {
         EXPECT_EQ(reads[i].status, DbGetStatus::Ok) << ids[i];
