@@ -10,13 +10,15 @@
  * therefore offers plain binary persistence with integrity checking
  * (a corrupted calibration must fail loudly, not authenticate junk).
  *
- * Persistence is dual-bank (bootloader style): the image carries two
- * complete copies of the record set — bank A framed from the front of
- * the file, bank B framed from the end — each with its own length,
- * checksum, and per-record CRCs. Any single-byte corruption lands in
- * exactly one bank; loading falls back to the surviving bank and
- * scrubs (rewrites) the image. Version-1 single-copy files remain
- * readable.
+ * The image is a one-shard v4 store image (store/codec.hh), built by
+ * the same `buildShardImage` every EnrollmentDb shard uses: two
+ * complete copies of the record set (bootloader style) — bank A framed
+ * from the front of the file, bank B framed from the end — each with
+ * its own length, checksum, and per-record CRCs. Any single-byte
+ * corruption lands in exactly one bank; loading accepts only a bank
+ * that verifies whole, falls back to the surviving bank and scrubs
+ * (rewrites) the image. Version-1 single-copy and version-2 dual-bank
+ * files stay readable, and a scrub rewrites them as v4.
  */
 
 #ifndef DIVOT_AUTH_ENROLLMENT_HH
@@ -86,8 +88,8 @@ class EnrollmentStore
     void clear() { store_.clear(); }
 
     /**
-     * Persist all records to a binary file as a dual-bank image (two
-     * complete copies, each checksummed whole and per record).
+     * Persist all records to a binary file as a one-shard v4 image
+     * (two complete copies, each checksummed whole and per record).
      *
      * @return true on success
      */
@@ -99,7 +101,8 @@ class EnrollmentStore
      * the in-memory store untouched). Tries bank A, falls back to
      * bank B when A is damaged, and scrubs the image after a
      * fallback. Fails on missing file, bad magic, or when both banks
-     * are damaged.
+     * are damaged (even where per-record salvage would recover part
+     * of the set).
      */
     bool loadFromFile(const std::string &path);
 

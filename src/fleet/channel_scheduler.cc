@@ -373,12 +373,25 @@ ChannelScheduler::instrumentUtilization() const
     return reactor_->utilization(elapsed_);
 }
 
+uint64_t
+ChannelScheduler::channelPriority(std::size_t index) const
+{
+    // Never-probed channels count staleness from before tick 0. Pure
+    // function of fleet state: no RNG.
+    const uint64_t staleness = static_cast<uint64_t>(
+        static_cast<int64_t>(tick_) - lastProbeTick_[index]);
+    uint64_t priority = staleness;
+    if (config_.policy == SchedulerPolicy::RiskWeighted)
+        priority *= riskWeight(channels_[index]->state());
+    // Request pressure rides on top of the organic priority, so
+    // requested channels outrank everything but each other (among
+    // themselves: more requests, then staleness, then index).
+    return priority + requestBoost_[index];
+}
+
 std::vector<std::size_t>
 ChannelScheduler::selectChannels() const
 {
-    // Priority = staleness (ticks since last probe, never-probed
-    // counts from before tick 0) scaled by the state risk weight
-    // under RiskWeighted. Pure function of fleet state: no RNG.
     struct Ranked
     {
         uint64_t priority;
@@ -392,16 +405,7 @@ ChannelScheduler::selectChannels() const
         // under either policy.
         if (channels_[i]->state() == AuthState::PendingReenroll)
             continue;
-        const uint64_t staleness = static_cast<uint64_t>(
-            static_cast<int64_t>(tick_) - lastProbeTick_[i]);
-        uint64_t priority = staleness;
-        if (config_.policy == SchedulerPolicy::RiskWeighted)
-            priority *= riskWeight(channels_[i]->state());
-        // Request pressure rides on top of the organic priority, so
-        // requested channels outrank everything but each other (among
-        // themselves: more requests, then staleness, then index).
-        priority += requestBoost_[i];
-        ranked.push_back({priority, i});
+        ranked.push_back({channelPriority(i), i});
     }
     const std::size_t k =
         std::min(config_.instruments, ranked.size());
@@ -433,8 +437,7 @@ ChannelScheduler::tryDispatch(double vtime)
     for (std::size_t i = 0; i < channels_.size(); ++i) {
         if (phase_[i] != ChannelPhase::Idle)
             continue;
-        const AuthState state = channels_[i]->state();
-        if (state == AuthState::PendingReenroll)
+        if (channels_[i]->state() == AuthState::PendingReenroll)
             continue;
         if (lastDispatchTick_[i] == static_cast<int64_t>(tick_))
             continue;
@@ -442,12 +445,7 @@ ChannelScheduler::tryDispatch(double vtime)
             epochEnd_ + kEpochSlack) {
             continue;
         }
-        const uint64_t staleness = static_cast<uint64_t>(
-            static_cast<int64_t>(tick_) - lastProbeTick_[i]);
-        uint64_t priority = staleness;
-        if (config_.policy == SchedulerPolicy::RiskWeighted)
-            priority *= riskWeight(state);
-        priority += requestBoost_[i];
+        const uint64_t priority = channelPriority(i);
         if (!found || priority > bestPriority) {
             found = true;
             bestPriority = priority;
@@ -522,13 +520,7 @@ ChannelScheduler::onHydrateRequest(const ReactorEvent &event)
         epochReady_.push_back(c);
         return;
     }
-    // Scheduling metrics at dispatch: staleness and risk weight are
-    // exactly the quantities the ranking used, and the probe will
-    // update them.
-    tmStaleness_.record(static_cast<uint64_t>(
-        static_cast<int64_t>(tick_) - lastProbeTick_[c]));
-    tmRiskWeight_.record(riskWeight(channels_[c]->state()));
-    tmChannelProbes_[c].add();
+    recordDispatch(c);
     const double vtime = event.vtime;
     const std::size_t slot = pipeProbes_.size();
     ChannelProbe seed;
@@ -552,15 +544,8 @@ ChannelScheduler::launchBarrierProbes()
     probesLaunched_ = true;
     const double wall = epochWall_;
 
-    // Scheduling metrics captured before the probes run: staleness and
-    // risk weight are exactly the quantities selectChannels() ranked
-    // on, and the probe updates them.
-    for (const std::size_t c : epochReady_) {
-        tmStaleness_.record(static_cast<uint64_t>(
-            static_cast<int64_t>(tick_) - lastProbeTick_[c]));
-        tmRiskWeight_.record(riskWeight(channels_[c]->state()));
-        tmChannelProbes_[c].add();
-    }
+    for (const std::size_t c : epochReady_)
+        recordDispatch(c);
 
     round_.probes.resize(epochReady_.size());
     // Disjoint channels, disjoint result slots: bit-identical at any
@@ -606,39 +591,48 @@ ChannelScheduler::scheduleEpochTail()
 }
 
 void
+ChannelScheduler::recordDispatch(std::size_t index)
+{
+    // Staleness and risk weight are exactly the quantities the ranking
+    // used, captured before the probe updates them.
+    tmStaleness_.record(static_cast<uint64_t>(
+        static_cast<int64_t>(tick_) - lastProbeTick_[index]));
+    tmRiskWeight_.record(riskWeight(channels_[index]->state()));
+    tmChannelProbes_[index].add();
+}
+
+void
+ChannelScheduler::observeProbe(std::size_t index, const ChannelProbe &probe,
+                               double vtime)
+{
+    lastProbeTick_[index] = static_cast<int64_t>(tick_);
+    ++probeCounts_[index];
+    fleetAuth_.observe(index, probe.verdict);
+    reactor_->releaseInstrument(channels_[index]->roundDuration());
+    phase_[index] = ChannelPhase::Idle;
+    requestBoost_[index] = 0;
+    if (hook_ != nullptr)
+        hook_->onProbeObserved(index, probe.verdict, vtime);
+}
+
+void
 ChannelScheduler::onProbeComplete(const ReactorEvent &event)
 {
     const std::size_t c = event.channel;
-    const double dur = channels_[c]->roundDuration();
-    if (config_.reactor.mode == ReactorMode::Pipelined) {
-        // Block until this probe's computation finished; every other
-        // ordering decision was already fixed at dispatch.
-        cq_->wait(event.ticket);
-        const ChannelProbe &probe = pipeProbes_[channelSlot_[c]];
-        lastProbeTick_[c] = static_cast<int64_t>(tick_);
-        ++probeCounts_[c];
-        fleetAuth_.observe(c, probe.verdict);
-        round_.probes.push_back(probe);
-        reactor_->releaseInstrument(dur);
-        phase_[c] = ChannelPhase::Idle;
-        requestBoost_[c] = 0;
-        if (hook_ != nullptr)
-            hook_->onProbeObserved(c, probe.verdict, event.vtime);
-        // The freed instrument goes straight to the next ranked
-        // channel whose round still fits — the saturation win over
-        // the barrier scheduler.
-        tryDispatch(event.vtime);
+    if (config_.reactor.mode != ReactorMode::Pipelined) {
+        observeProbe(c, round_.probes[event.ticket], event.vtime);
         return;
     }
-    const ChannelProbe &probe = round_.probes[event.ticket];
-    lastProbeTick_[c] = static_cast<int64_t>(tick_);
-    ++probeCounts_[c];
-    fleetAuth_.observe(c, probe.verdict);
-    reactor_->releaseInstrument(dur);
-    phase_[c] = ChannelPhase::Idle;
-    requestBoost_[c] = 0;
-    if (hook_ != nullptr)
-        hook_->onProbeObserved(c, probe.verdict, event.vtime);
+    // Block until this probe's computation finished; every other
+    // ordering decision was already fixed at dispatch.
+    cq_->wait(event.ticket);
+    const ChannelProbe &probe = pipeProbes_[channelSlot_[c]];
+    round_.probes.push_back(probe);
+    observeProbe(c, probe, event.vtime);
+    // The freed instrument goes straight to the next ranked channel
+    // whose round still fits — the saturation win over the barrier
+    // scheduler.
+    tryDispatch(event.vtime);
 }
 
 void

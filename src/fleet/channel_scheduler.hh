@@ -328,6 +328,10 @@ class ChannelScheduler
 
   private:
     std::vector<std::size_t> selectChannels() const;
+    /** Ranking key of both reactor modes: staleness (ticks since the
+     *  last probe) scaled by the state risk weight under
+     *  RiskWeighted, plus the request boost. */
+    uint64_t channelPriority(std::size_t index) const;
     bool persistChannel(std::size_t index);
     void persistAll();
     /** Hydrate `index` from the store; demotes to PendingReenroll on
@@ -359,6 +363,12 @@ class ChannelScheduler
     /** Schedule FuseEpoch / EvictPressure / ScrubStep on the epoch
      *  boundary (Pipelined mode). */
     void scheduleEpochTail();
+    /** Record the scheduling metrics of a probe about to launch. */
+    void recordDispatch(std::size_t index);
+    /** Fold a completed probe into the channel and fleet state, free
+     *  its instrument, and tell the hook. */
+    void observeProbe(std::size_t index, const ChannelProbe &probe,
+                      double vtime);
     /** Pipelined mode: dispatch the highest-priority idle channel
      *  whose round still fits in the epoch. @return dispatched */
     bool tryDispatch(double vtime);

@@ -14,6 +14,14 @@ namespace divot {
 
 namespace {
 
+/** Max fraction of bins at probability exactly 0 or 1 before a
+ *  measurement is declared unhealthy. */
+constexpr double kHealthSaturationLimit = 0.5;
+
+/** Bus-cycle overrun factor vs the predicted budget before the 50 us
+ *  envelope is declared blown. */
+constexpr double kHealthBudgetTolerance = 1.5;
+
 unsigned
 roundUpToMultiple(unsigned value, unsigned base)
 {
@@ -119,10 +127,8 @@ ITdr::attachTelemetry(Telemetry *telemetry, const std::string &prefix)
 double
 ITdr::reconstructionSigma() const
 {
-    if (calibratedSigma_ > 0.0)
-        return calibratedSigma_;
-    return config_.assumedNoiseSigma > 0.0 ? config_.assumedNoiseSigma
-                                           : comparator_.noiseSigma();
+    return calibratedSigma_ > 0.0 ? calibratedSigma_
+                                  : comparator_.noiseSigma();
 }
 
 void
@@ -569,13 +575,11 @@ ITdr::measure(const TransmissionLine &line, NoiseSource *extra_noise)
     out.health.nonFiniteBins = non_finite_bins;
     out.health.budgetOverrun = expectedCycles_ > 0 &&
         static_cast<double>(out.busCycles) >
-            config_.healthBudgetTolerance *
+            kHealthBudgetTolerance *
             static_cast<double>(expectedCycles_);
-    if (config_.healthScreens) {
-        out.health.ok = out.health.saturatedBinFraction <=
-                config_.healthSaturationLimit &&
-            out.health.nonFiniteBins == 0 && !out.health.budgetOverrun;
-    }
+    out.health.ok =
+        out.health.saturatedBinFraction <= kHealthSaturationLimit &&
+        out.health.nonFiniteBins == 0 && !out.health.budgetOverrun;
 
     if (telemetry_ != nullptr) {
         tmMeasurements_.add();

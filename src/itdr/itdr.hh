@@ -80,8 +80,6 @@ struct ItdrConfig
     double edgeAmplitude = 0.8;     //!< probe edge swing, volts
     double edgeRiseTime = 25e-12;   //!< probe edge 10-90 %, seconds
     unsigned counterWidthBits = 12; //!< hit-counter register width
-    double assumedNoiseSigma = 0.0; //!< reconstruction sigma; 0 => use
-                                    //!< the comparator's true sigma
     bool selfCalibrate = false;     //!< run a power-up noise
                                     //!< self-calibration and use the
                                     //!< *estimated* sigma and offset
@@ -112,16 +110,6 @@ struct ItdrConfig
                                     //!< traces, content-keyed + LRU
                                     //!< (see itdr/trace_cache.hh);
                                     //!< 0 disables caching
-    bool healthScreens = true;      //!< run the instrument-health
-                                    //!< screens on every measurement
-    double healthSaturationLimit = 0.5; //!< max fraction of bins at
-                                    //!< probability exactly 0 or 1
-                                    //!< before the measurement is
-                                    //!< declared unhealthy
-    double healthBudgetTolerance = 1.5; //!< bus-cycle overrun factor
-                                    //!< vs the predicted budget before
-                                    //!< the 50 us envelope is declared
-                                    //!< blown
 };
 
 /** One measured IIP with its cost accounting. (The health record

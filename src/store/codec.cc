@@ -709,8 +709,11 @@ parseShardImage(const std::vector<char> &bytes,
         report.bankUsed = bank;
         report.fellBack = bank == 1;
         report.records = out.size();
-        if (bank == 1)
+        if (bank == 1) {
             report.detail = "bank A damaged; recovered from bank B";
+            // Locate bank A's bad frames for the operator report.
+            report.damagedA = walkBank(bytes, a, b).damaged;
+        }
         return report;
     }
 

@@ -5,13 +5,16 @@
  * Four formats read through this module:
  *
  *  - v1: legacy single-copy EPROM image (read-only compatibility).
- *  - v2: the dual-bank single-file EnrollmentStore image.
- *  - v3: EnrollmentDb shard images — the same dual-bank + per-record
- *    CRC discipline, with a richer record body (nominal response,
+ *  - v2: legacy dual-bank EnrollmentStore EPROM image (read-only
+ *    compatibility).
+ *  - v3: shard images — the same dual-bank + per-record CRC
+ *    discipline, with a richer record body (nominal response,
  *    lifecycle flags, generation counter) so a fleet channel can be
  *    rehydrated without re-deriving anything (read-only compatibility).
- *  - v4: the v3 image plus a per-bank record index, the only shard
- *    format written. Bank placement and record frames are byte-for-byte v3;
+ *  - v4: the v3 image plus a per-bank record index, the only format
+ *    written: every EnrollmentDb shard, and the EnrollmentStore EPROM
+ *    (a one-shard image whose records carry only id and fingerprint).
+ *    Bank placement and record frames are byte-for-byte v3;
  *    each payload appends, after its `count` record frames, a sorted
  *    `(id, frameOffset, frameLen)` index and a fixed 24-byte locator
  *    `[indexOffset][indexLen][fnv1a(index)]`, so a reader fetches the
@@ -143,6 +146,8 @@ struct ShardParseReport
     bool bankBHealthy = false; //!< bank B located and whole-bank CRC ok
     uint64_t records = 0;   //!< records recovered
     std::vector<RecordDamage> damagedA; //!< bad frames seen in bank A
+                                        //!< (salvage, or a strict
+                                        //!< fallback to bank B)
     std::vector<RecordDamage> damagedB; //!< bad frames seen in bank B
     std::vector<RecordDamage> unrecoverable; //!< bad in both banks
     std::string detail;     //!< human-readable cause
@@ -228,9 +233,10 @@ bool readShardIndexIds(const ImageReader &image,
                        std::vector<std::string> &ids);
 
 /**
- * @name Legacy readers — the only v1/v2 parsers; the EnrollmentStore
- * loader and parseLegacyImage both use them. Records come back as v3
- * records carrying only id and fingerprint (empty nominal response,
+ * @name Legacy readers — the only v1/v2 parsers, for files written
+ * before the EPROM became a v4 image (nothing writes v1 or v2); the
+ * EnrollmentStore loader and parseLegacyImage both use them. Records
+ * come back carrying only id and fingerprint (empty nominal response,
  * zero flags/generation — the fields the old formats never stored).
  * Strict: `out` is replaced only when every check passes.
  */
@@ -258,10 +264,10 @@ bool parseLegacyV2Bank(const std::vector<char> &bytes, bool bankB,
 int parseLegacyImage(const std::vector<char> &bytes,
                      std::map<std::string, EnrollmentRecord> &out);
 
-/** Magic/version constants shared with the legacy EnrollmentStore. */
+/** Magic/version constants of every enrollment image. */
 constexpr uint32_t kStoreMagic = 0x44495654; // "DIVT"
 constexpr uint32_t kLegacyV1 = 1;  //!< single-copy EPROM image
-constexpr uint32_t kLegacyV2 = 2;  //!< dual-bank EnrollmentStore image
+constexpr uint32_t kLegacyV2 = 2;  //!< dual-bank EPROM image
 constexpr uint32_t kShardVersionV3 = 3; //!< shard image, no index
 constexpr uint32_t kShardVersion = 4;   //!< shard image with index
 constexpr std::size_t kBankHeaderSize = 24; // magic/ver + len + crc

@@ -6,7 +6,8 @@
  * new state reachable, never junk), scrub repair, the stable store.*
  * telemetry counters, and the v4 record index: point reads that agree
  * with the whole-image parse under corruption, index-only `ids()`,
- * and v3 images that stay readable until their next rewrite.
+ * and v3 images that stay readable until their next rewrite; and the
+ * EnrollmentStore EPROM image, which is a one-shard v4 image.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 
 #include <unistd.h>
 
+#include "auth/enrollment.hh"
 #include "fault/fault.hh"
 #include "store/codec.hh"
 #include "store/enrollment_db.hh"
@@ -1169,6 +1171,73 @@ TEST(EnrollmentDb, IdsFromIndexMatchFullParse)
     ASSERT_TRUE(atomicWriteFile(shard, bad));
     EXPECT_EQ(db.ids(), parsedIds(shard));
     EXPECT_EQ(db.ids().size(), 9u);
+}
+
+TEST(EnrollmentStore, SavedImageIsAShardImage)
+{
+    const std::string dir = freshDir("db_eprom");
+    const std::string path = dir + "/eprom.bin";
+    EnrollmentStore store;
+    for (int i = 0; i < 3; ++i)
+        store.enroll("eprom.ch" + std::to_string(i),
+                     testFingerprint(i + 1.0));
+    ASSERT_TRUE(store.saveToFile(path));
+    std::vector<char> image;
+    ASSERT_TRUE(readFile(path, image));
+
+    std::map<std::string, EnrollmentRecord> parsed;
+    const ShardParseReport report = parseShardImage(image, parsed);
+    ASSERT_TRUE(report.ok);
+    EXPECT_EQ(report.bankUsed, 0);
+    EXPECT_FALSE(report.fellBack);
+    ASSERT_EQ(parsed.size(), store.size());
+    for (const auto &[id, rec] : parsed) {
+        const auto fp = store.lookup(id);
+        ASSERT_TRUE(fp.has_value()) << id;
+        EXPECT_EQ(rec.fp.raw().samples(), fp->raw().samples()) << id;
+        EXPECT_EQ(rec.fp.residual().samples(), fp->residual().samples())
+            << id;
+        EXPECT_EQ(rec.fp.label(), fp->label()) << id;
+    }
+
+    EnrollmentDb db(smallConfig(dir));
+    ASSERT_TRUE(db.open());
+    EXPECT_EQ(db.importImage(image), store.size());
+    for (const auto &[id, rec] : parsed) {
+        EnrollmentRecord out;
+        ASSERT_EQ(db.get(id, out), DbGetStatus::Ok) << id;
+        EXPECT_EQ(out.fp.raw().samples(), rec.fp.raw().samples()) << id;
+    }
+
+    // Damage record 1 in both banks (bank B mirrors bank A's payload
+    // one payload length further on). Salvage recovers the other two
+    // records, but the EPROM load accepts only a bank that verifies
+    // whole, so it fails and keeps the in-memory store.
+    const std::size_t payload_len =
+        (image.size() - 2 * kBankHeaderSize) / 2;
+    const std::size_t pos = std::string(image.begin(), image.end())
+                                .find("eprom.ch1") + 30;
+    ASSERT_LT(pos, kBankHeaderSize + payload_len);
+    std::vector<char> bad = image;
+    for (const std::size_t at : {pos, pos + payload_len})
+        bad[at] = static_cast<char>(bad[at] ^ 0x11);
+    ASSERT_TRUE(atomicWriteFile(path, bad));
+
+    std::map<std::string, EnrollmentRecord> salvaged;
+    const ShardParseReport salvage = parseShardImage(bad, salvaged);
+    ASSERT_TRUE(salvage.ok);
+    EXPECT_TRUE(salvage.salvaged);
+    EXPECT_EQ(salvaged.size(), store.size() - 1);
+    EXPECT_EQ(salvaged.count("eprom.ch1"), 0u);
+    ASSERT_EQ(salvage.unrecoverable.size(), 1u);
+    EXPECT_EQ(salvage.unrecoverable[0].id, "eprom.ch1");
+
+    EnrollmentStore loaded;
+    loaded.enroll("keep", testFingerprint(9.0));
+    EXPECT_FALSE(loaded.loadFromFile(path));
+    EXPECT_EQ(loaded.size(), 1u);
+    EXPECT_TRUE(loaded.contains("keep"));
+    removeFile(path);
 }
 
 /** The records in tests/golden/shard_v3.bin (a 1-shard db). */

@@ -1,8 +1,9 @@
 /**
  * @file
- * Migration and corruption fuzz tests across the three enrollment
- * persistence formats (v1 single-copy, v2 dual-bank EnrollmentStore,
- * v3 EnrollmentDb shard) plus the write-ahead journal.
+ * Migration and corruption fuzz tests across the enrollment
+ * persistence formats (the load-only v1 single-copy and v2 dual-bank
+ * EPROM images, and the v4 shard image that EnrollmentDb shards and
+ * the EnrollmentStore EPROM both use) plus the write-ahead journal.
  *
  * The invariant under every mutation — single byte flips at every
  * sampled offset, random multi-byte rot, junk and truncated journal
@@ -28,6 +29,10 @@
 #include "store/enrollment_db.hh"
 #include "store/io.hh"
 #include "util/rng.hh"
+
+#ifndef DIVOT_GOLDEN_DIR
+#error "DIVOT_GOLDEN_DIR must point at the checked-in golden directory"
+#endif
 
 namespace divot::store {
 namespace {
@@ -104,18 +109,17 @@ buildV1Image(const std::map<std::string, EnrollmentRecord> &records)
     return image;
 }
 
-/** Build a v2 dual-bank image through the real EnrollmentStore. */
+/**
+ * The v2 dual-bank image of originalRecords() (nothing writes v2
+ * anymore): tests/golden/eprom_v2.bin, written by the last
+ * EnrollmentStore::saveToFile that produced v2.
+ */
 std::vector<char>
-buildV2Image(const std::map<std::string, EnrollmentRecord> &records)
+buildV2Image(const std::map<std::string, EnrollmentRecord> & /*orig*/)
 {
-    EnrollmentStore store;
-    for (const auto &[id, rec] : records)
-        store.enroll(id, rec.fp);
-    const std::string path =
-        tempPath("mig_v2.bin");
-    EXPECT_TRUE(store.saveToFile(path));
     std::vector<char> image;
-    EXPECT_TRUE(readFile(path, image));
+    EXPECT_TRUE(
+        readFile(std::string(DIVOT_GOLDEN_DIR) + "/eprom_v2.bin", image));
     return image;
 }
 
@@ -230,6 +234,47 @@ TEST_F(StoreMigrationFuzz, V3ShardImageNeverLoadsJunk)
     ASSERT_EQ(out.size(), orig.size());
 
     fuzzImage(image, "v3", /*dual_bank=*/true);
+}
+
+TEST(StoreMigration, V2FallbackScrubRewritesTheEpromAsV4)
+{
+    const auto orig = originalRecords();
+    const std::vector<char> image = buildV2Image(orig);
+    const std::string path = tempPath("mig_v2_scrub.bin");
+    ASSERT_TRUE(atomicWriteFile(path, image));
+
+    EnrollmentStore clean;
+    const EpromLoadReport first = clean.loadWithReport(path, true);
+    ASSERT_TRUE(first.ok);
+    EXPECT_EQ(first.bankUsed, 0);
+    EXPECT_FALSE(first.fellBack);
+    EXPECT_EQ(clean.size(), orig.size());
+
+    // One flipped byte in bank A's payload: bank B serves, and the
+    // scrub rewrites the file in the current format.
+    std::vector<char> bad = image;
+    bad[kBankHeaderSize + 16] =
+        static_cast<char>(bad[kBankHeaderSize + 16] ^ 0x5a);
+    ASSERT_TRUE(atomicWriteFile(path, bad));
+    EnrollmentStore healed;
+    const EpromLoadReport rep = healed.loadWithReport(path, true);
+    ASSERT_TRUE(rep.ok) << rep.detail;
+    EXPECT_EQ(rep.bankUsed, 1);
+    EXPECT_TRUE(rep.fellBack);
+    EXPECT_TRUE(rep.scrubbed);
+    ASSERT_EQ(healed.size(), orig.size());
+
+    std::vector<char> after;
+    ASSERT_TRUE(readFile(path, after));
+    std::map<std::string, EnrollmentRecord> out;
+    const ShardParseReport report = parseShardImage(after, out);
+    EXPECT_TRUE(report.ok);
+    EXPECT_EQ(report.bankUsed, 0);
+    EXPECT_FALSE(report.fellBack);
+    ASSERT_EQ(out.size(), orig.size());
+    for (const auto &[id, rec] : out)
+        EXPECT_TRUE(matchesOriginal(orig, id, rec)) << id;
+    removeFile(path);
 }
 
 TEST_F(StoreMigrationFuzz, LegacyImagesImportIntoTheDb)
