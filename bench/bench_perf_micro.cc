@@ -98,33 +98,25 @@ BENCHMARK(BM_ItdrMeasureTelemetry)
     ->Arg(1)
     ->Arg(2);
 
-// The perf-engine matrix: batched strobes on/off crossed with the
-// reflection-trace cache on/off. {0,0} is the pre-optimization
-// baseline; {1,8} is the default configuration.
+// The Sampled block loop with the reflection-trace cache off and on;
+// cache:8 is the default configuration.
 void
 BM_ItdrMeasureEngine(benchmark::State &state)
 {
     const auto line = benchLine();
     ItdrConfig cfg;
     cfg.trialsPerPhase = 170;
-    cfg.batchedStrobes = state.range(0) != 0;
-    cfg.traceCacheCapacity = static_cast<std::size_t>(state.range(1));
+    cfg.traceCacheCapacity = static_cast<std::size_t>(state.range(0));
     ITdr itdr(cfg, Rng(11));
     for (auto _ : state)
         benchmark::DoNotOptimize(itdr.measure(line));
 }
-BENCHMARK(BM_ItdrMeasureEngine)
-    ->ArgNames({"batch", "cache"})
-    ->Args({0, 0})
-    ->Args({1, 0})
-    ->Args({0, 8})
-    ->Args({1, 8});
+BENCHMARK(BM_ItdrMeasureEngine)->ArgNames({"cache"})->Arg(0)->Arg(8);
 
 // The analytic strobe engine against the sampled batch engine at the
 // default trials/levels configuration — the headline O(levels) vs
-// O(trials) comparison. Compare model:1 against
-// BM_ItdrMeasureEngine/batch:1 at the same cache setting; the
-// acceptance bar is >= 10x at cache:8.
+// O(trials) comparison. Compare model:1 against BM_ItdrMeasureEngine
+// at the same cache setting; the acceptance bar is >= 10x at cache:8.
 void
 BM_ItdrMeasureStrobeModel(benchmark::State &state)
 {

@@ -2,10 +2,9 @@
  * @file
  * PERF — end-to-end throughput of the genuine/impostor study driver,
  * the workload behind Fig. 7/8: measurements per second for the
- * serial path (threads = 1) versus the thread pool, the batched
- * strobe + trace cache single-thread win against the
- * pre-optimization configuration, and the analytic (exact-binomial)
- * strobe engine against the sampled engine — including a
+ * serial path (threads = 1) versus the thread pool, the trace-cache
+ * single-thread win against an uncached run, and the analytic
+ * (exact-binomial) strobe engine against the sampled engine — including a
  * statistical-equivalence gate (EER deltas within tolerance) and a
  * multi-wire analytic run. Also re-checks the determinism contract:
  * parallel runs must reproduce the serial scores bit for bit, for
@@ -177,8 +176,6 @@ buildRecord(const Options &opt, const std::string &label,
                 simdTargetName(resolveSimdTarget(t.cfg.itdr.simd)));
         appendf(r, "        \"threads\": %u,\n", t.cfg.threads);
         appendf(r, "        \"wires\": %zu,\n", t.cfg.wires);
-        appendf(r, "        \"batchedStrobes\": %s,\n",
-                t.cfg.itdr.batchedStrobes ? "true" : "false");
         appendf(r, "        \"traceCacheCapacity\": %zu,\n",
                 t.cfg.itdr.traceCacheCapacity);
         appendf(r, "        \"measurements\": %zu,\n", t.measurements);
@@ -283,7 +280,7 @@ benchMain(int argc, char **argv)
     const std::string label = benchLabel(opt);
     banner("PERF.study_throughput",
            "study driver measurements/second: serial vs pool vs "
-           "pre-optimization vs analytic strobe engine",
+           "uncached vs analytic strobe engine",
            opt);
 
     StudyConfig cfg;
@@ -303,10 +300,9 @@ benchMain(int argc, char **argv)
         cfg.impostorPerPair = 6;
     }
 
-    // Pre-optimization reference: serial, scalar strobes, no cache.
+    // Uncached reference: serial, trace cache off.
     StudyConfig legacy = cfg;
     legacy.threads = 1;
-    legacy.itdr.batchedStrobes = false;
     legacy.itdr.traceCacheCapacity = 0;
 
     StudyConfig serial = cfg;
@@ -343,7 +339,7 @@ benchMain(int argc, char **argv)
     Telemetry tel_parallel;
 
     const Timed t_legacy =
-        timedRun("legacy (scalar, no cache)", legacy, opt.seed);
+        timedRun("legacy (no cache)", legacy, opt.seed);
     const Timed t_serial =
         timedRun("serial sampled", serial, opt.seed, &tel_serial);
     const Timed t_parallel =

@@ -112,10 +112,14 @@ class Comparator
      * consume a uniform, in what order) but may round interior
      * probabilities differently; see DESIGN.md §13.
      *
+     * This is the analytic engine's only sweep: ITdr::measure runs
+     * it for every Binomial measurement, fault frames included, and
+     * strobeAnalytic stays as its per-bin reference.
+     *
      * Requires a zero metastable band: the analytic band fold
      * (p_j = 1/2 inside the band) is a per-lane branch the grid
-     * kernels do not model, so callers with a band keep the per-bin
-     * strobeAnalytic loop.
+     * kernels do not model. A band makes the analytic engine fall
+     * back to Sampled, so no measurement reaches this with one.
      */
     void strobeAnalyticSoA(const StrobeKernels &kernels,
                            const double *ref_levels, std::size_t bins,

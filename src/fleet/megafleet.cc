@@ -375,12 +375,15 @@ MegaFleet::processArrivals()
         }
         case service::RequestKind::Enroll:
         case service::RequestKind::Reenroll: {
+            // A cut after the last commit leaves that record durable
+            // but the handle dead: recover first, so the lookup sees
+            // the durable generation.
+            if (!db_->alive())
+                reopenDb();
             store::EnrollmentRecord rec = enrollmentRecord(c);
-            if (db_->alive()) {
-                store::EnrollmentRecord old;
-                if (db_->get(rec.id, old) == store::DbGetStatus::Ok)
-                    rec.generation = old.generation + 1;
-            }
+            store::EnrollmentRecord old;
+            if (db_->get(rec.id, old) == store::DbGetStatus::Ok)
+                rec.generation = old.generation + 1;
             const bool durable = putWithRecovery(rec);
             response.status = durable
                                   ? service::ResponseStatus::Ok

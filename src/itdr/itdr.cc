@@ -1,5 +1,6 @@
 #include "itdr/itdr.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 
@@ -29,6 +30,31 @@ roundUpToMultiple(unsigned value, unsigned base)
         return value;
     const unsigned rem = value % base;
     return rem == 0 ? value : value + (base - rem);
+}
+
+/**
+ * The first condition that keeps a measurement off both fast paths
+ * (the Sampled block loop and the analytic sweep), or nullptr when
+ * they can serve it. Both need a loop-invariant signal (no jitter, no
+ * per-trigger interference), arithmetic trigger cycles (clock lane),
+ * statistically independent strobes (no metastable band), and a
+ * counter that cannot saturate mid-batch.
+ */
+const char *
+fastPathBlocker(const ItdrConfig &config, unsigned trials,
+                const NoiseSource *extra_noise)
+{
+    if (config.pll.jitterRms > 0.0)
+        return "jitter";
+    if (extra_noise != nullptr)
+        return "extra-noise";
+    if (config.triggerMode != TriggerMode::ClockLane)
+        return "data-triggers";
+    if (config.comparator.metastableBand != 0.0)
+        return "metastable-band";
+    if (trials >= (1ull << config.counterWidthBits))
+        return "counter-saturation";
+    return nullptr;
 }
 
 } // namespace
@@ -320,50 +346,49 @@ ITdr::measure(const TransmissionLine &line, NoiseSource *extra_noise)
     FaultFrame fault;
     if (faultInjector_ != nullptr)
         fault = faultInjector_->nextFrame();
-    const double two_pi = 6.283185307179586;
-    // A failed ETS phase step leaves the sampling offset lagging the
-    // nominal grid; lags accumulate over the sweep.
-    double phase_lag = 0.0;
-    unsigned saturated_bins = 0;
-    unsigned non_finite_bins = 0;
 
-    // Per-bin fault application, identical for the batch and scalar
-    // paths: a signal-input bias (offset drift + EMI burst evaluated
-    // at the bin's nominal time, loop-invariant within the bin) before
-    // strobing, and post-count corruption of the hit register (stuck
-    // comparator output, register bit flips).
-    auto faultBias = [&](double t0) {
-        double bias = fault.comparatorOffset;
-        if (fault.emiAmplitude > 0.0) {
-            bias += fault.emiAmplitude *
-                std::sin(two_pi * fault.emiFrequency * t0 +
-                         fault.emiPhase);
-        }
-        return bias;
-    };
-    auto faultSampleTime = [&](double t0) {
+    // Decide every bin's instrument faults in one step, before any
+    // strobe: a failed ETS phase step leaves the sampling instant
+    // lagging the nominal grid (lags accumulate over the sweep), the
+    // signal input carries the offset drift plus the EMI burst at the
+    // bin's nominal time, and a register flip is chosen. The dropout
+    // and then the flip draw per bin from the frame's dedicated
+    // stream, which no strobe touches, so every engine sees the same
+    // decisions.
+    const double two_pi = 6.283185307179586;
+    double phase_lag = 0.0;
+    binFaults_.resize(bins_);
+    for (unsigned m = 0; m < bins_; ++m) {
+        const double t0 = static_cast<double>(m) * tau;
+        BinFault &f = binFaults_[m];
         if (fault.pllDropoutRate > 0.0 &&
             fault.binRng.bernoulli(fault.pllDropoutRate)) {
             phase_lag += tau;
         }
-        return std::max(0.0, t0 - phase_lag);
-    };
-    auto faultHits = [&](unsigned hits) {
-        if (fault.comparatorStuck >= 0)
-            hits = fault.comparatorStuck == 1 ? trials_ : 0;
+        f.sampleTime = std::max(0.0, t0 - phase_lag);
+        f.bias = fault.comparatorOffset;
+        if (fault.emiAmplitude > 0.0) {
+            f.bias += fault.emiAmplitude *
+                std::sin(two_pi * fault.emiFrequency * t0 +
+                         fault.emiPhase);
+        }
+        f.flipMask = 0;
         if (fault.counterFlipRate > 0.0 &&
             fault.binRng.bernoulli(fault.counterFlipRate)) {
-            const unsigned bit = static_cast<unsigned>(
+            f.flipMask = 1u << static_cast<unsigned>(
                 fault.binRng.uniformInt(config_.counterWidthBits));
-            hits ^= 1u << bit;
-            if (hits > trials_)
-                hits = trials_;
         }
-        return hits;
-    };
-    // Every engine finishes a bin with one reconstruction-table load
-    // (hits never exceeds trials_).
+    }
+
+    // Every engine finishes a bin the same way: the stuck comparator
+    // output and the register flip corrupt the strobed count, then one
+    // reconstruction-table load (hits never exceeds trials_).
+    unsigned saturated_bins = 0;
+    unsigned non_finite_bins = 0;
     auto finishBin = [&](unsigned m, unsigned hits) {
+        if (fault.comparatorStuck >= 0)
+            hits = fault.comparatorStuck == 1 ? trials_ : 0;
+        hits = std::min(hits ^ binFaults_[m].flipMask, trials_);
         if (hits == 0 || hits >= trials_)
             ++saturated_bins;
         double v = binVoltage(m, hits);
@@ -374,23 +399,11 @@ ITdr::measure(const TransmissionLine &line, NoiseSource *extra_noise)
         iip[m] = v;
     };
 
-    const bool no_jitter = config_.pll.jitterRms <= 0.0;
-    // Both fast paths need a loop-invariant signal (no jitter, no
-    // per-trigger interference), arithmetic trigger cycles (clock
-    // lane), statistically independent strobes (no metastable band),
-    // and a counter that cannot saturate mid-batch. The analytic
-    // engine additionally replaces the per-trial draws with exact
-    // binomials (see StrobeModel); sampled configurations use the
-    // draw-compatible block batch.
-    const bool fast_eligible = no_jitter && extra_noise == nullptr &&
-        config_.triggerMode == TriggerMode::ClockLane &&
-        comparator_.params().metastableBand == 0.0 &&
-        trials_ < (1ull << config_.counterWidthBits);
-    const bool analytic =
-        config_.strobeModel == StrobeModel::Binomial && fast_eligible;
-    const bool batch = !analytic && config_.batchedStrobes &&
-        fast_eligible;
-    if (config_.strobeModel == StrobeModel::Binomial && !analytic) {
+    const char *const blocker =
+        fastPathBlocker(config_, trials_, extra_noise);
+    const bool want_analytic =
+        config_.strobeModel == StrobeModel::Binomial;
+    if (want_analytic && blocker != nullptr) {
         if (telemetry_ != nullptr)
             tmFallbacks_.add();
         if (!analyticFallbackWarned_) {
@@ -404,23 +417,18 @@ ITdr::measure(const TransmissionLine &line, NoiseSource *extra_noise)
                 // One event per instrument naming the blocking
                 // condition; the counter above tallies every
                 // fallen-back measurement.
-                const char *reason = !no_jitter ? "jitter"
-                    : extra_noise != nullptr ? "extra-noise"
-                    : config_.triggerMode != TriggerMode::ClockLane
-                        ? "data-triggers"
-                    : comparator_.params().metastableBand != 0.0
-                        ? "metastable-band"
-                    : "counter-saturation";
                 TelemetryEvent event;
                 event.time = static_cast<double>(cycles_before) * t_clk;
                 event.ordinal = span_ordinal;
                 event.kind = "itdr.fallback";
                 event.tag = tmPrefix_;
-                event.detail = reason;
+                event.detail = blocker;
                 telemetry_->events().record(std::move(event));
             }
         }
     }
+    const bool analytic = want_analytic && blocker == nullptr;
+    const bool batch = !want_analytic && blocker == nullptr;
     if (telemetry_ != nullptr) {
         (analytic ? tmEngineAnalytic_
                   : batch ? tmEngineBatch_ : tmEngineScalar_).add();
@@ -430,70 +438,39 @@ ITdr::measure(const TransmissionLine &line, NoiseSource *extra_noise)
     if (analytic) {
         // O(levels) analytic path: each bin's hit count is drawn as
         // sum_j Binomial(trials/levels, p_j) over the bin's frozen
-        // Vernier levels — no per-trial work at all. The trigger
-        // generator still advances arithmetically so cycle accounting
-        // and fault frames are identical to the sampled engine.
+        // Vernier levels — no per-trial work at all — in
+        // whole-measurement stages (gather signal levels, one
+        // probability-grid kernel, one binomial-lane kernel, reduce).
+        // The trigger generator still advances arithmetically so
+        // cycle accounting is identical to the sampled engine.
         const unsigned levels = pdm_.levelCount();
-        const unsigned per_level = trials_ / levels;
-        // The SoA sweep runs whole-measurement stages (gather signal
-        // levels, one probability-grid kernel, one binomial-lane
-        // kernel, reduce) instead of a per-bin loop. That reorders
-        // nothing the comparator stream can see — but a fault frame
-        // drawing from binRng in *both* the sample-time and hit hooks
-        // would interleave those draws per bin in the legacy loop and
-        // stage-by-stage here, so such frames keep the per-bin loop.
-        const bool soa_ok = fault.pllDropoutRate <= 0.0 &&
-            fault.counterFlipRate <= 0.0;
-        if (soa_ok) {
-            StrobeSoA &soa = soa_;
-            soa.resize(bins_, levels);
-            for (unsigned m = 0; m < bins_; ++m) {
-                const double t0 = static_cast<double>(m) * tau;
-                triggerGen_.advanceClockTriggers(trials_);
-                soa.vSig[m] =
-                    trace.valueAt(faultSampleTime(t0)) + faultBias(t0);
-                pll_.stepPhase();
+        soa_.resize(bins_, levels);
+        for (unsigned m = 0; m < bins_; ++m) {
+            triggerGen_.advanceClockTriggers(trials_);
+            soa_.vSig[m] = trace.valueAt(binFaults_[m].sampleTime) +
+                binFaults_[m].bias;
+            pll_.stepPhase();
+        }
+        comparator_.strobeAnalyticSoA(*kernels_, analyticLevels_.data(),
+                                      bins_, levels, trials_ / levels,
+                                      soa_);
+        // Every hit count is known up front, so the table loads are
+        // independent: the prefetch keeps the sweep from serializing
+        // on the 0.5 MB table's cache misses.
+        const std::size_t stride = static_cast<std::size_t>(trials_) + 1;
+        for (unsigned m = 0; m < bins_; ++m) {
+            if (m + 8 < bins_) {
+                __builtin_prefetch(
+                    &iipLut_[static_cast<std::size_t>(m + 8) * stride +
+                             soa_.hits[m + 8]]);
             }
-            comparator_.strobeAnalyticSoA(*kernels_,
-                                          analyticLevels_.data(),
-                                          bins_, levels, per_level,
-                                          soa);
-            // Every hit count is known up front, so the table loads
-            // are independent: the prefetch keeps the sweep from
-            // serializing on the 0.5 MB table's cache misses.
-            const std::size_t stride =
-                static_cast<std::size_t>(trials_) + 1;
-            for (unsigned m = 0; m < bins_; ++m) {
-                if (m + 8 < bins_) {
-                    __builtin_prefetch(
-                        &iipLut_[static_cast<std::size_t>(m + 8) *
-                                     stride +
-                                 soa.hits[m + 8]]);
-                }
-                finishBin(m, faultHits(soa.hits[m]));
-            }
-            if (telemetry_ != nullptr) {
-                (kernels_->target == SimdTarget::Avx2 ? tmKernelAvx2_
-                 : kernels_->target == SimdTarget::Neon
-                     ? tmKernelNeon_
-                     : tmKernelScalar_)
-                    .add();
-            }
-        } else {
-            for (unsigned m = 0; m < bins_; ++m) {
-                const double t0 = static_cast<double>(m) * tau;
-                triggerGen_.advanceClockTriggers(trials_);
-                const double v_sig =
-                    trace.valueAt(faultSampleTime(t0)) + faultBias(t0);
-                const unsigned hits =
-                    faultHits(comparator_.strobeAnalytic(
-                        v_sig,
-                        analyticLevels_.data() +
-                            static_cast<std::size_t>(m) * levels,
-                        levels, per_level));
-                finishBin(m, hits);
-                pll_.stepPhase();
-            }
+            finishBin(m, soa_.hits[m]);
+        }
+        if (telemetry_ != nullptr) {
+            (kernels_->target == SimdTarget::Avx2 ? tmKernelAvx2_
+             : kernels_->target == SimdTarget::Neon ? tmKernelNeon_
+                                                    : tmKernelScalar_)
+                .add();
         }
     } else if (batch) {
         const unsigned levels = pdm_.levelCount();
@@ -515,18 +492,18 @@ ITdr::measure(const TransmissionLine &line, NoiseSource *extra_noise)
             // contract survives any dispatch target.
             kernels_->tilePeriodic(periodScratch_.data(), levels,
                                    refScratch_.data(), trials_);
-            const double v_sig =
-                trace.valueAt(faultSampleTime(t0)) + faultBias(t0);
-            const unsigned hits = faultHits(comparator_.strobeBatch(
-                v_sig, refScratch_.data(), trials_));
-            finishBin(m, hits);
+            const double v_sig = trace.valueAt(binFaults_[m].sampleTime) +
+                binFaults_[m].bias;
+            finishBin(m, comparator_.strobeBatch(
+                             v_sig, refScratch_.data(), trials_));
             pll_.stepPhase();
         }
     } else {
+        const bool no_jitter = config_.pll.jitterRms <= 0.0;
         for (unsigned m = 0; m < bins_; ++m) {
             const double t0 = static_cast<double>(m) * tau;
-            const double t_sig0 = faultSampleTime(t0);
-            const double bias = faultBias(t0);
+            const double t_sig0 = binFaults_[m].sampleTime;
+            const double bias = binFaults_[m].bias;
             // Without jitter the signal lookup is loop-invariant
             // (the PDM reference still varies per trigger through
             // t_abs): hoist it out of the trial loop.
@@ -549,8 +526,7 @@ ITdr::measure(const TransmissionLine &line, NoiseSource *extra_noise)
                 const double v_ref = pdm_.referenceAt(t_abs);
                 counter.record(comparator_.strobe(v_sig, v_ref));
             }
-            finishBin(m, faultHits(
-                static_cast<unsigned>(counter.hits())));
+            finishBin(m, static_cast<unsigned>(counter.hits()));
             pll_.stepPhase();
         }
     }

@@ -87,11 +87,6 @@ struct ItdrConfig
                                     //!< oracle values (see
                                     //!< itdr/calibrate.hh)
     ReflectionModel model = ReflectionModel::Born;
-    bool batchedStrobes = true;     //!< use the block-strobe fast path
-                                    //!< when the configuration allows
-                                    //!< (clock lane, no jitter); false
-                                    //!< forces the scalar per-trigger
-                                    //!< loop (reference / ablation)
     StrobeModel strobeModel = StrobeModel::Sampled;
                                     //!< Sampled (default, bit-stable)
                                     //!< or the exact-binomial analytic
@@ -296,6 +291,16 @@ class ITdr
     const StrobeKernels *kernels_ = nullptr;
     /** SoA scratch arena for the analytic sweep. */
     StrobeSoA soa_;
+
+    /** One bin's instrument faults, decided before its strobe. */
+    struct BinFault
+    {
+        double sampleTime = 0.0; //!< nominal time minus dropout lag
+        double bias = 0.0;       //!< offset drift + EMI burst, volts
+        unsigned flipMask = 0;   //!< hit-register bits to flip
+    };
+    /** Per-bin fault decisions of the current measurement [bins_]. */
+    std::vector<BinFault> binFaults_;
 
     /** @name Telemetry plumbing (inert until attachTelemetry). */
     ///@{

@@ -43,10 +43,12 @@
  * of a bulk load — consumes one IO-event index, and
  * `storageFrameFor(event)` decides whether that operation is torn,
  * crashed at a chosen commit point, bit-rotted, or truncated. A
- * simulated power cut marks the db dead (`alive()` false, every later
- * call refuses); recovery is a fresh EnrollmentDb on the same
- * directory, which may continue the dead handle's event count
- * (`resumeIoEvents`).
+ * simulated power cut marks the db dead (`alive()` false): every later
+ * mutation refuses, while `get` and `readRecords` keep serving what
+ * the handle last saw (MegaFleet hydrates through a dead handle until
+ * its next write reopens the store). Recovery is a fresh EnrollmentDb
+ * on the same directory, which may continue the dead handle's event
+ * count (`resumeIoEvents`).
  *
  * See DESIGN.md §14 for the shard layout, journal format, and crash
  * matrix.

@@ -98,7 +98,10 @@ generateCase(std::size_t index)
     pc.channel.itdr.counterWidthBits =
         static_cast<unsigned>(10 + rng.uniformInt(3));    // 10-12
     pc.channel.itdr.traceCacheCapacity = rng.uniformInt(3); // 0-2
-    pc.channel.itdr.batchedStrobes = rng.bernoulli(0.75);
+    // This draw once chose the block or per-trial Sampled loop; the
+    // block loop now serves every eligible config, but the draw stays
+    // so every field below keeps its value.
+    (void)rng.bernoulli(0.75);
     pc.channel.auth.averageWindow = 2 + rng.uniformInt(6);
 
     // Strobe engine: the analytic binomial path serves a measurement

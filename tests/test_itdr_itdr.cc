@@ -10,7 +10,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "fault/fault.hh"
@@ -134,34 +136,6 @@ TEST(ITdr, TrialsRoundedUpToLevelMultiple)
     ITdr itdr(cfg, Rng(13));
     EXPECT_EQ(itdr.trialsPerPhase() % cfg.pdm.p, 0u);
     EXPECT_GE(itdr.trialsPerPhase(), 100u);
-}
-
-TEST(ITdr, BatchedStrobesMatchScalarPath)
-{
-    // The batch path consumes the same comparator draws as the scalar
-    // loop; the only difference is that the Vernier reference levels
-    // are evaluated once per period instead of once per trial, which
-    // is mathematically identical (and numerically equal to within
-    // floating-point noise on the triangle-phase reduction).
-    const auto line = testLine();
-    ItdrConfig batch_cfg;
-    batch_cfg.trialsPerPhase = 170;
-    ItdrConfig scalar_cfg = batch_cfg;
-    scalar_cfg.batchedStrobes = false;
-    ITdr batch(batch_cfg, Rng(23));
-    ITdr scalar(scalar_cfg, Rng(23));
-    const IipMeasurement mb = batch.measure(line);
-    const IipMeasurement ms = scalar.measure(line);
-    ASSERT_EQ(mb.iip.size(), ms.iip.size());
-    EXPECT_EQ(mb.busCycles, ms.busCycles);
-    EXPECT_EQ(mb.triggers, ms.triggers);
-    // A 1-ulp reference difference can flip at most the rare strobe
-    // that lands exactly on the noise threshold; allow a fraction of
-    // one trial's worth of probability per bin.
-    const double tol = 3.0 * batch_cfg.comparator.noiseSigma /
-        static_cast<double>(batch_cfg.trialsPerPhase);
-    for (std::size_t i = 0; i < mb.iip.size(); ++i)
-        EXPECT_NEAR(mb.iip[i], ms.iip[i], tol) << "bin " << i;
 }
 
 TEST(ITdr, BatchGateFallsBackForDataLaneAndJitter)
@@ -438,21 +412,101 @@ TEST(ITdr, ReconstructionTableMatchesFreshInverseTables)
 
 TEST(ITdr, PinnedSampledIipDigests)
 {
-    // Cross-build equality evidence for the Sampled engine: the
-    // literals were taken while each bin still kept its own inverse
+    // Cross-build equality evidence for the Sampled block loop: the
+    // literal was taken while each bin still kept its own inverse
     // CDF table, before every engine read the (bin, hit count) table.
-    // Two measurements per path, the second from the trace cache.
+    // Two measurements, the second from the trace cache.
     const auto line = testLine();
-    ItdrConfig cfg;
-    ITdr batch(cfg, Rng(29));
-    cfg.batchedStrobes = false;
-    ITdr scalar(cfg, Rng(29));
+    ITdr batch(ItdrConfig{}, Rng(29));
     uint64_t batchDigest = iipDigest(batch.measure(line).iip);
     batchDigest = iipDigest(batch.measure(line).iip, batchDigest);
-    uint64_t scalarDigest = iipDigest(scalar.measure(line).iip);
-    scalarDigest = iipDigest(scalar.measure(line).iip, scalarDigest);
     EXPECT_EQ(batchDigest, 0xc762c9160431f1a0ull);
-    EXPECT_EQ(scalarDigest, 0xc762c9160431f1a0ull);
+}
+
+TEST(ITdr, PinnedEngineIipDigests)
+{
+    // Cross-build equality evidence for every strobe path of
+    // measure(), taken while the analytic engine still kept a
+    // per-bin loop for dropout+flip frames and each Sampled loop
+    // applied its own fault hooks. Three measurements per config (the
+    // later ones hit the trace cache), each instrument with its own
+    // fault injector so the frames advance with its measurements.
+    const auto line = testLine();
+    const FaultPlan frame =
+        FaultPlan{}.pllDropout(0, 0, 0.1).counterBitFlip(0, 0, 0.2);
+    // The Binomial pins run the scalar kernel set on every build: the
+    // environment wins over ItdrConfig::simd, so force it here too.
+    const char *prevSimd = std::getenv("DIVOT_SIMD");
+    const std::string savedSimd = prevSimd != nullptr ? prevSimd : "";
+    setenv("DIVOT_SIMD", "scalar", 1);
+
+    auto digest = [&](const ItdrConfig &cfg, bool faulted,
+                      NoiseSource *extra = nullptr) {
+        FaultInjector injector(frame, Rng(31));
+        ITdr itdr(cfg, Rng(29));
+        if (faulted)
+            itdr.attachFaultInjector(&injector);
+        uint64_t h = 0xcbf29ce484222325ull;
+        for (int k = 0; k < 3; ++k)
+            h = iipDigest(itdr.measure(line, extra).iip, h);
+        return h;
+    };
+    struct Pin
+    {
+        const char *name;
+        uint64_t got;
+        uint64_t want;
+    };
+    std::vector<Pin> pins;
+
+    ItdrConfig block;
+    pins.push_back({"block+frame", digest(block, true),
+                    0x251e56a288eee6afull});
+
+    ItdrConfig jitter;
+    jitter.pll.jitterRms = 2e-12;
+    pins.push_back({"jitter", digest(jitter, false),
+                    0xa638157d972b03e4ull});
+    pins.push_back({"jitter+frame", digest(jitter, true),
+                    0x5260ad08f999e97full});
+
+    ItdrConfig data;
+    data.triggerMode = TriggerMode::DataLane;
+    pins.push_back({"data-lane", digest(data, false),
+                    0xc38256851e557fbcull});
+
+    ItdrConfig band;
+    band.comparator.metastableBand = 0.2e-3;
+    pins.push_back({"metastable", digest(band, false),
+                    0x0b113542b9b8fd10ull});
+
+    ItdrConfig narrow;
+    narrow.counterWidthBits = 7;
+    pins.push_back({"counter7+frame", digest(narrow, true),
+                    0x2de172ab7d99da50ull});
+
+    ItdrConfig plain;
+    SinusoidalInterference emi(0.5e-3, 25e6, 0.3);
+    pins.push_back({"emi+frame", digest(plain, true, &emi),
+                    0x06eb7cbbab771df7ull});
+
+    ItdrConfig binomial;
+    binomial.strobeModel = StrobeModel::Binomial;
+    binomial.simd = SimdTarget::Scalar;
+    pins.push_back({"binomial", digest(binomial, false),
+                    0x1a79c228e62ceffaull});
+    pins.push_back({"binomial+frame", digest(binomial, true),
+                    0x20a64f09db50638dull});
+
+    if (prevSimd != nullptr)
+        setenv("DIVOT_SIMD", savedSimd.c_str(), 1);
+    else
+        unsetenv("DIVOT_SIMD");
+
+    for (const Pin &p : pins) {
+        EXPECT_EQ(p.got, p.want)
+            << p.name << " 0x" << std::hex << p.got;
+    }
 }
 
 TEST(ITdr, ZeroTrialsRejected)

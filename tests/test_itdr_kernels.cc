@@ -4,7 +4,7 @@
  * contract (scalar == pre-kernel engine, binomial bit-identity across
  * targets, target-invariant draw schedule), the AVX2 Phi error bound,
  * the DIVOT_SIMD dispatch rules, and the SoA sweep's equivalence to
- * the per-bin analytic loop.
+ * its per-bin strobeAnalytic reference.
  */
 
 #include <gtest/gtest.h>

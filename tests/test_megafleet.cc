@@ -5,7 +5,8 @@
  * verdict identity (with and without storage faults), crash-reopen
  * enrollment, the no-junk guarantee when shard images are destroyed
  * under a running fleet, once-only accounting of a committed record
- * lost in both banks, a Reenroll that lifts a fence for good, pinned
+ * lost in both banks, a Reenroll that lifts a fence for good, record
+ * generations that count on across a power cut after commit, pinned
  * request-schedule digests, and thread-count invariance of the
  * record-granular hydration reads over damaged images.
  */
@@ -342,6 +343,42 @@ runPinnedSchedule(const char *name, bool reenroll_fenced)
               reenroll_fenced ? 2u : 1u);
     EXPECT_GE(fencedAnswers, reenroll_fenced ? 2u : 1u);
     return {fleet.responseDigest(), fleet.report().verdictDigest};
+}
+
+TEST(MegaFleet, GenerationSurvivesAfterCommitCut)
+{
+    // A power cut right after a Reenroll commits leaves the record
+    // durable but the handle dead. The next Reenroll must still read
+    // the durable generation and count on from it, never restart at 1.
+    const std::string dir = freshDir("mega_gen_after_commit");
+    MegaFleet fleet(smallConfig(dir, 1), Rng(7));
+    ASSERT_EQ(fleet.enrollAll(), 96u);
+    FaultPlan plan;
+    plan.storageCrash(fleet.db().ioEvents(),
+                      StorageCrashPoint::AfterCommit);
+    const FaultInjector injector(plan, Rng(3));
+    fleet.attachFaultInjector(&injector);
+
+    const std::string ch = MegaFleet::channelId(5);
+    for (uint64_t id = 1; id <= 2; ++id) {
+        service::ServiceRequest rq;
+        rq.id = id;
+        rq.kind = service::RequestKind::Reenroll;
+        rq.channel = ch;
+        ASSERT_TRUE(fleet.submit(rq));
+        fleet.tick();
+    }
+    const std::vector<service::ServiceResponse> responses =
+        fleet.drainResponses();
+    ASSERT_EQ(responses.size(), 2u);
+    EXPECT_EQ(responses[0].status, service::ResponseStatus::Ok);
+    EXPECT_EQ(responses[0].generation, 2u);
+    EXPECT_EQ(responses[1].status, service::ResponseStatus::Ok);
+    EXPECT_EQ(responses[1].generation, 3u);
+    EXPECT_EQ(fleet.report().crashRecoveries, 1u);
+    store::EnrollmentRecord durable;
+    ASSERT_EQ(fleet.db().get(ch, durable), store::DbGetStatus::Ok);
+    EXPECT_EQ(durable.generation, 3u);
 }
 
 TEST(MegaFleet, PinnedMixedScheduleDigests)
